@@ -59,7 +59,8 @@ class MinerEngine:
     All mutation happens inside one shift on one thread; the object may be
     handed between threads only at shift boundaries.  ``trie`` holds the
     final trie of the most recent shift until the next one starts, which the
-    tests use for structural checks.
+    tests use for structural checks.  A shift validates its arguments before
+    it changes any state, so a rejected call leaves the engine as it was.
     """
 
     def __init__(self, store: CIStore | None = None, index: InvertedIndex | None = None):
@@ -83,10 +84,10 @@ class MinerEngine:
         if tid in self.window_tids:
             raise ValueError(f"tid {tid} is already in the window")
         items = _normalize(items)
+        order = items if item_order is None else _check_order(item_order, items)
         self.window_tids.add(tid)
         if not items:
             return ShiftReport("add", tid)
-        order = items if item_order is None else _check_order(item_order, items)
 
         store = self.store
         index = self.index
@@ -155,10 +156,10 @@ class MinerEngine:
         if tid not in self.window_tids:
             raise ValueError(f"tid {tid} is not in the window")
         items = _normalize(items)
+        order = items if item_order is None else _check_order(item_order, items)
         self.window_tids.discard(tid)
         if not items:
             return ShiftReport("remove", tid)
-        order = items if item_order is None else _check_order(item_order, items)
 
         store = self.store
         index = self.index

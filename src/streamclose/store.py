@@ -2,8 +2,10 @@
 
 A closed itemset (CI) is stored as a bare record of support and size; its
 composition lives only in the inverted index, one entry per (item, CI) pair.
-Emission-time operations rebuild itemsets by scanning the index, which keeps
-the per-shift hot path free of itemset copies.
+Each inverted list is an insertion-ordered dict keyed by record, so adding,
+removing and testing one entry are O(1) while routing still iterates the
+list in a fixed order.  Emission-time operations rebuild itemsets from the
+index, which keeps the per-shift hot path free of itemset copies.
 
 Record id 0 is reserved for the bootstrap record: it stands for the full item
 universe at support 0, is logically a member of every inverted list without
@@ -100,14 +102,14 @@ class CIStore:
 
 
 class InvertedIndex:
-    """item id -> unordered list of the CI records containing that item.
+    """item id -> the CI records containing that item.
 
-    Lists are kept unordered; removal swaps the victim with the last entry
-    and pops, so membership order carries no meaning.
+    Each list is a dict mapping record -> None, iterated in insertion order;
+    only the set of members carries meaning.
     """
 
     def __init__(self):
-        self.lists: dict[int, list[CIRecord]] = {}
+        self.lists: dict[int, dict[CIRecord, None]] = {}
         self.entry_count = 0
 
     def add(self, record: CIRecord, items) -> None:
@@ -115,9 +117,9 @@ class InvertedIndex:
         for a in items:
             lst = lists.get(a)
             if lst is None:
-                lists[a] = [record]
+                lists[a] = {record: None}
             else:
-                lst.append(record)
+                lst[record] = None
         self.entry_count += len(items)
 
     def remove(self, record: CIRecord, items) -> None:
@@ -128,15 +130,12 @@ class InvertedIndex:
         """
         lists = self.lists
         for a in items:
-            lst = lists.get(a)
             try:
-                i = lst.index(record)
-            except (ValueError, AttributeError):
+                del lists[a][record]
+            except KeyError:
                 raise AssertionError(
                     f"CI {record.id} missing from inverted list of item {a}"
                 ) from None
-            lst[i] = lst[-1]
-            lst.pop()
         self.entry_count -= len(items)
 
     def scan_length(self, item: int) -> int:
@@ -145,7 +144,10 @@ class InvertedIndex:
 
 
 def materialize_itemset(store: CIStore, index: InvertedIndex, ci_id: int) -> tuple:
-    """Rebuild the ascending itemset of a live CI by scanning the index."""
+    """Rebuild the ascending itemset of a live CI from the index.
+
+    One O(1) membership test per item key.
+    """
     if ci_id == 0:
         raise ValueError("the bootstrap record has no materializable itemset")
     rec = store.records.get(ci_id)

@@ -17,6 +17,13 @@ from scratch on the next.  Node fields:
 The arena list is retained across shifts (cleared, not reallocated) and
 doubles as the deterministic traversal order: nodes appear in creation order
 with the root at position 0.
+
+A node and its parent's ``children`` dict point at each other, and a node's
+``top``/``runners`` hold CI records whose cursors point back at it, so a
+finished trie is full of reference cycles.  ``reset`` severs those links on
+every old node before dropping the arena, so the old trie is freed by
+reference counting alone and never reaches the cyclic garbage collector; a
+stale ``CIRecord.cursor`` keeps at most its own detached node alive.
 """
 
 from __future__ import annotations
@@ -76,11 +83,15 @@ class Trie:
     def reset(self, mode: str) -> Trie:
         """Drop every node and start over with a fresh root.
 
-        The arena list object is reused; no node survives a reset.
+        The arena list object is reused; no node survives a reset.  Old
+        nodes are severed from their parent, children and CI sets first, so
+        they are freed without a cyclic collection.
         """
         if mode not in (INCREMENT, DECREMENT):
             raise ValueError(f"unknown trie mode {mode!r}")
         self.mode = mode
+        for n in self.nodes:
+            n.parent = n.children = n.top = n.runners = None
         self.nodes.clear()
         self.root = TrieNode(None, None, 0)
         self.nodes.append(self.root)

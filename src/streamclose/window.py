@@ -88,17 +88,23 @@ class StreamDriver:
         """Push an already-interned itemset.
 
         Returns the eviction report (None when nothing was evicted) and the
-        addition report.
+        addition report.  The new tid is checked before the eviction runs,
+        and the buffer and tid counter change only after the engine accepted
+        a half, so a rejected push leaves the driver as it was.
         """
         items = tuple(sorted(set(items)))
+        engine = self.engine
+        tid = self.next_tid
+        if tid in engine.window_tids:
+            raise ValueError(f"tid {tid} is already in the window")
         removed = None
         cfg = self.config
         if cfg.mode == SLIDING and len(self.buffer) >= cfg.capacity:
-            old_tid, old_items = self.buffer.popleft()
-            removed = self.engine.shift_remove(old_tid, old_items)
-        tid = self.next_tid
-        self.next_tid += 1
-        added = self.engine.shift_add(tid, items)
+            old_tid, old_items = self.buffer[0]
+            removed = engine.shift_remove(old_tid, old_items)
+            self.buffer.popleft()
+        added = engine.shift_add(tid, items)
+        self.next_tid = tid + 1
         self.buffer.append((tid, items))
         if len(items) > self.max_transaction_size:
             self.max_transaction_size = len(items)

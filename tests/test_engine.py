@@ -138,6 +138,33 @@ def test_remove_unknown_tid_rejected():
         eng.shift_remove(2, (0,))
 
 
+def test_add_rejected_order_leaves_state_unchanged():
+    eng = MinerEngine()
+    with pytest.raises(ValueError):
+        eng.shift_add(1, [1, 3], item_order=[1, 4])
+    assert eng.window_tids == set() and eng.store.shift == 0
+    assert ids_family(eng) == {}
+    eng.shift_add(1, [1, 3], item_order=[3, 1])
+    assert ids_family(eng) == {frozenset({1, 3}): 1}
+    eng.shift_remove(1, [1, 3])
+    assert ids_family(eng) == {}
+    eng.check_invariants()
+
+
+def test_remove_rejected_order_leaves_state_unchanged():
+    eng = MinerEngine()
+    eng.shift_add(1, [1, 3])
+    eng.shift_add(2, [1])
+    before = ids_family(eng)
+    with pytest.raises(ValueError):
+        eng.shift_remove(1, [1, 3], item_order=[1, 4])
+    assert eng.window_tids == {1, 2} and eng.store.shift == 2
+    assert ids_family(eng) == before
+    eng.shift_remove(1, [1, 3], item_order=[3, 1])
+    assert ids_family(eng) == {frozenset({1}): 1}
+    eng.check_invariants()
+
+
 def test_remove_last_transaction_empties_family():
     eng = MinerEngine()
     eng.shift_add(1, (3, 4))

@@ -122,17 +122,24 @@ def test_materialize_after_removal_is_lookup_error():
         materialize_itemset(eng.store, eng.index, gh_id)
 
 
-def test_index_swap_removal():
+def test_index_removal_leaves_other_records():
     store, index = CIStore(), InvertedIndex()
     a = store.new_ci(1, 2)
     b = store.new_ci(2, 2)
+    c = store.new_ci(1, 2)
     index.add(a, (0, 1))
     index.add(b, (0, 2))
+    index.add(c, (0, 1))
+    assert index.entry_count == 6
     index.remove(a, (0, 1))
-    assert index.lists[0] == [b]
-    assert index.entry_count == 2
+    assert set(index.lists[0]) == {b, c}
+    assert set(index.lists[1]) == {c}
+    assert set(index.lists[2]) == {b}
+    assert index.entry_count == 4
     with pytest.raises(AssertionError):
         index.remove(a, (0, 1))
+    with pytest.raises(AssertionError):
+        index.remove(b, (7,))
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,13 @@
 """Intersection-trie structure and lifecycle."""
 
+import gc
+import random
+
 import pytest
 
-from streamclose import oracle
+from streamclose import StreamDriver, WindowConfig, oracle
 from streamclose.trie import DECREMENT, INCREMENT, SUPPORT_FLOOR, Trie
-from conftest import TABLE1, landmark_driver
+from conftest import TABLE1, landmark_driver, random_stream
 
 D19 = {n + 1: frozenset(t) for n, t in enumerate(TABLE1[:9])}
 
@@ -25,6 +28,21 @@ def test_reset_drops_every_node():
     assert t.node_count == 1
     assert t.root is not old_root
     assert t.mode == DECREMENT
+
+
+def test_finished_tries_need_no_cyclic_collection():
+    # every shift's trie must be freed by reference counting alone
+    driver = StreamDriver(WindowConfig(capacity=50, mode="sliding"))
+    stream = random_stream(random.Random(7), 20, 300, 8)
+    gc.collect()
+    gc.disable()
+    try:
+        for items in stream:
+            driver.push_ids(items)
+        assert driver.engine.store.live_count > 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_reset_rejects_unknown_mode():

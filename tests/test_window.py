@@ -107,6 +107,38 @@ def test_empty_baskets_occupy_slots():
     assert len(driver.buffer) == 2
 
 
+def test_rejected_push_leaves_driver_unchanged():
+    driver = StreamDriver(WindowConfig(capacity=2, mode="sliding"))
+    driver.push_ids((0, 1))
+    driver.push_ids((1, 2))
+    eng = driver.engine
+
+    def state():
+        return list(driver.buffer), driver.next_tid, set(eng.window_tids), ids_family(eng)
+
+    # evict the oldest transaction behind the driver's back: the engine then
+    # refuses the driver's eviction, which must not lose the buffered entry
+    old_tid, old_items = driver.buffer[0]
+    eng.shift_remove(old_tid, old_items)
+    before = state()
+    with pytest.raises(ValueError):
+        driver.push_ids((2, 3))
+    assert state() == before
+    eng.shift_add(old_tid, old_items)
+
+    # occupy the next tid: the addition would be refused, so nothing is evicted
+    eng.shift_add(driver.next_tid, (9,))
+    before = state()
+    with pytest.raises(ValueError):
+        driver.push_ids((2, 3))
+    assert state() == before
+    eng.shift_remove(driver.next_tid, (9,))
+
+    driver.push_ids((2, 3))
+    assert [tid for tid, _ in driver.buffer] == [1, 2]
+    assert ids_family(eng) == oracle.closed_itemsets(window_db(driver.buffer))
+
+
 def test_push_stats_wiring():
     config = WindowConfig(capacity=3, mode="sliding")
     driver = StreamDriver(config)
