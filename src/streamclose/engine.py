@@ -24,6 +24,7 @@ so the scan never iterates a list it is mutating.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .store import CIRecord, CIStore, InvertedIndex, check_store_invariants, snapshot
 from .trie import DECREMENT, INCREMENT, Trie, TrieNode
@@ -370,36 +371,27 @@ class MinerEngine:
         """Live CI record whose itemset is the closure of ``items``.
 
         None when no window transaction covers ``items`` (or it is empty).
-        Cost is one pass over the inverted lists of the queried items.
+        The CIs containing ``items`` are the members common to its items'
+        inverted lists; the closure is the one among them with the query's
+        own support, which no other common member reaches, so it is the
+        unique maximum.  Cost is one C-level pass over the shortest list,
+        with an O(1) membership probe per further item.
         """
         items = _normalize(items)
         if not items:
             return None
         lists = self.index.lists
-        counts: dict[int, int] = {}
-        need = len(items)
-        first = True
+        found = []
         for a in items:
             lst = lists.get(a)
             if not lst:
                 return None
-            if first:
-                for rec in lst:
-                    counts[rec.id] = 1
-                first = False
-            else:
-                for rec in lst:
-                    k = counts.get(rec.id)
-                    if k is not None:
-                        counts[rec.id] = k + 1
-        best = None
-        records = self.store.records
-        for ci_id, k in counts.items():
-            if k == need:
-                rec = records[ci_id]
-                if best is None or rec.support > best.support:
-                    best = rec
-        return best
+            found.append(lst)
+        found.sort(key=len)
+        common = found[0]
+        for lst in found[1:]:
+            common = filter(lst.__contains__, common)
+        return max(common, key=attrgetter("support"), default=None)
 
     def check_invariants(self) -> None:
         check_store_invariants(self.store, self.index)

@@ -14,6 +14,8 @@ being physically stored in any, and is never emitted or removed.
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 INFINITE_SIZE = float("inf")
 
 
@@ -180,7 +182,8 @@ def snapshot(store: CIStore, index: InvertedIndex, min_supp: int = 1) -> list[tu
         if rec.support >= min_supp:
             items.sort()
             rows.append((tuple(items), rec.support))
-    rows.sort()
+    # Itemsets are unique, so the support never breaks a tie.
+    rows.sort(key=itemgetter(0))
     return rows
 
 

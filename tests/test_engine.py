@@ -1,10 +1,11 @@
 """Shift engine behavior: golden shifts, step ops, categorization, removal."""
 
+import itertools
 import random
 
 import pytest
 
-from streamclose import MinerEngine, oracle
+from streamclose import MinerEngine, StreamDriver, WindowConfig, oracle
 from streamclose.store import CIRecord, materialize_itemset
 from streamclose.trie import DECREMENT, INCREMENT
 from conftest import (
@@ -394,3 +395,55 @@ def test_report_counters_match_list_lengths(table3_driver):
     _, report = driver.push(TABLE1[9])
     assert report.entries_scanned == expected
     assert report.nodes_created == 11
+
+
+# ---------------------------------------------------------------------------
+# closure queries
+# ---------------------------------------------------------------------------
+
+# Item 0's list holds three CIs, all supersets of {0, 1}, at supports 1, 2
+# and 3; item 2's list holds two supersets of {0, 1, 2} at supports 1 and 2.
+NESTED = [(0, 1, 2, 3), (0, 1, 2), (0, 1), (1, 4), (1, 5), (1, 4, 5), (1,)]
+
+
+@pytest.mark.parametrize("stream", [NESTED, NESTED[::-1]])
+@pytest.mark.parametrize("query", [(0, 1), (0, 1, 2), (1, 4), (0, 1, 2, 3)])
+def test_closure_picks_max_support_superset_in_any_order(stream, query):
+    eng = MinerEngine()
+    for tid, t in enumerate(stream):
+        eng.shift_add(tid, t)
+    db = {tid: frozenset(t) for tid, t in enumerate(stream)}
+    shortest = min((eng.index.lists[a] for a in query), key=len)
+    if len(query) < 4:
+        assert len({rec.support for rec in shortest}) >= 2
+    want = oracle.closure(db, query)
+    for order in itertools.permutations(query):
+        rec = eng.closure_record(order)
+        assert rec.support == len(oracle.support_tids(db, query))
+        assert frozenset(materialize_itemset(eng.store, eng.index, rec.id)) == want
+
+
+def test_closure_of_fully_evicted_item_is_none():
+    driver = StreamDriver(WindowConfig(capacity=2, mode="sliding"))
+    for t in [("a", "b"), ("c",), ("c",)]:
+        driver.push(t)
+    eng = driver.engine
+    a, b, c = (driver.dictionary.intern(tok) for tok in "abc")
+    assert eng.index.lists[a] == {} and eng.index.lists[b] == {}
+    assert eng.closure_record([a]) is None
+    assert eng.closure_record([a, b]) is None
+    assert eng.closure_record([c, a]) is None
+    assert eng.closure_record([c]).support == 2
+
+
+def test_closure_query_normalization():
+    eng = MinerEngine()
+    for tid, t in enumerate(NESTED):
+        eng.shift_add(tid, t)
+    want = eng.closure_record([0, 1])
+    assert want.support == 3
+    assert eng.closure_record([1, 0, 1, 0]) is want
+    assert eng.closure_record(iter([1, 0])) is want
+    assert eng.closure_record([99]) is None
+    assert eng.closure_record([0, 99]) is None
+    assert eng.closure_record([]) is None

@@ -1,5 +1,7 @@
 """Estimator facade: parameter protocol, streaming, queries, validation."""
 
+import itertools
+
 import pytest
 
 from streamclose import ClosedItemsetStreamMiner, NotFittedError, oracle
@@ -147,3 +149,31 @@ def test_validation_rejects_bad_tokens():
 def test_int_tokens_roundtrip():
     miner = ClosedItemsetStreamMiner().fit([[3, 1], [1]])
     assert miner.discover() == [((3, 1), 1), ((1,), 2)]
+
+
+def test_queries_on_fully_evicted_tokens():
+    miner = ClosedItemsetStreamMiner(window_size=2, mode="sliding")
+    miner.fit([["a", "b"], ["c"], ["c"]])
+    assert miner.predict([["a"], ["a", "b"], ["c", "a"], ["c"]]) == [0, 0, 0, 2]
+    assert miner.transform([["a"], ["b", "a"], ["c"]]) == [None, None, ("c",)]
+
+
+def test_queries_pick_the_closure_in_any_token_order():
+    stream = [list("wxyv"), list("wxy"), list("wx"), list("xu"), list("xt"), list("xut"),
+              list("x")]
+    miner = ClosedItemsetStreamMiner().fit(stream)
+    db = window_db(miner.driver_.buffer)
+    tok = miner.driver_.dictionary.token
+    for query in [("w", "x"), ("w", "x", "y"), ("x", "u")]:
+        ids = [miner.driver_.dictionary.intern(t) for t in query]
+        want = {tok(a) for a in oracle.closure(db, ids)}
+        for order in itertools.permutations(query):
+            assert miner.predict([order]) == [len(oracle.support_tids(db, ids))]
+            assert set(miner.transform([order])[0]) == want
+
+
+def test_query_duplicate_unknown_and_empty_tokens():
+    miner = ClosedItemsetStreamMiner().fit(TABLE1)
+    assert miner.predict([["a", "b", "a"], ["z"], ["a", "z"], []]) == [3, 0, 0, 0]
+    assert miner.transform([["b", "a", "b"], ["z", "z"], []]) == \
+        [("a", "b", "c"), None, None]
