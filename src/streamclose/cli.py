@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from collections import deque
 
 from . import oracle
 from .formats import ParseError, StatsWriter, StreamSource, save_snapshot, write_snapshot
@@ -112,6 +111,34 @@ def _diff_families(got: dict, want: dict, dictionary) -> str:
     return "\n".join(lines)
 
 
+def _verify_push(driver: StreamDriver, items, check) -> str | None:
+    """Push ``items`` half by half, calling ``check`` on each half's report.
+
+    Same sequencing as ``StreamDriver.push_ids``: the new tid is checked
+    before the eviction runs, the buffer drops its oldest entry only after
+    the engine accepted the eviction, and the tid counter advances only
+    after it accepted the addition.  Returns the first problem ``check``
+    reports, or None.
+    """
+    engine = driver.engine
+    window = driver.buffer
+    items = tuple(sorted(set(items)))
+    tid = driver.next_tid
+    if tid in engine.window_tids:
+        raise ValueError(f"tid {tid} is already in the window")
+    if len(window) >= driver.config.capacity:
+        old_tid, old_items = window[0]
+        rep = engine.shift_remove(old_tid, old_items)
+        window.popleft()
+        problem = check(rep)
+        if problem:
+            return problem
+    rep = engine.shift_add(tid, items)
+    driver.next_tid = tid + 1
+    window.append((tid, items))
+    return check(rep)
+
+
 def _cmd_verify(args) -> int:
     try:
         config = WindowConfig(capacity=args.window, mode=SLIDING, min_supp=1)
@@ -121,11 +148,12 @@ def _cmd_verify(args) -> int:
     source = StreamSource(args.input)
     driver = StreamDriver(config, dictionary=source.dictionary)
     engine = driver.engine
-    window: deque[tuple[int, tuple]] = driver.buffer
     shift_no = 0
 
     def check(rep) -> str | None:
-        db = {t: frozenset(x) for t, x in window}
+        nonlocal shift_no
+        shift_no += 1
+        db = {t: frozenset(x) for t, x in driver.buffer}
         want = oracle.closed_itemsets(db, args.max_cis)
         got = {frozenset(x): s for x, s in engine.snapshot(1)}
         if got != want:
@@ -135,20 +163,7 @@ def _cmd_verify(args) -> int:
 
     # step the engine directly so both halves of a push get checked
     for items in source:
-        if len(window) >= config.capacity:
-            old_tid, old_items = window.popleft()
-            rep = engine.shift_remove(old_tid, old_items)
-            shift_no += 1
-            problem = check(rep)
-            if problem:
-                sys.stderr.write(problem)
-                return EXIT_DIVERGENCE
-        tid = driver.next_tid
-        driver.next_tid += 1
-        rep = engine.shift_add(tid, items)
-        window.append((tid, items))
-        shift_no += 1
-        problem = check(rep)
+        problem = _verify_push(driver, items, check)
         if problem:
             sys.stderr.write(problem)
             return EXIT_DIVERGENCE

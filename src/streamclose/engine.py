@@ -8,17 +8,22 @@ phases:
      cursor traces the CI's growing intersection with t.  The bootstrap
      record (id 0) is an implicit member of every list and walks the whole
      itemset, which guarantees the full itemset of t always ends on a node
-     of its own.
-  2. Categorization.  Nodes still holding cursors (refs > 0) are exactly the
-     complete intersections.  On addition, a node whose best-supported
-     routed CI has the node's own depth marks a promotion, anything else a
-     creation.  On removal, a runner-up whose cursor still rests on the node
-     certifies the node's CI obsolete; otherwise it is merely demoted.
+     of its own.  One loop serves both shift kinds and only moves cursors;
+     each node's summary (refs, top, runners) is then settled in one pass
+     over the routed CIs from the node each one ends on.
+  2. Categorization.  Nodes that CIs end on (refs > 0) are exactly the
+     complete intersections, and a node's top is its class closure, which
+     always ends on it.  On addition, a top whose size is the node's depth
+     marks a promotion, anything else a creation.  On removal, a CI ending
+     on the node one support unit below the top certifies the node's CI
+     obsolete; otherwise it is merely demoted.
   3. Store update.  Created CIs enter the inverted lists of their items;
      obsolete ones leave the store and every list they appear in.
 
 Inverted lists are only read during routing and only written during phase 3,
-so the scan never iterates a list it is mutating.
+so the scan never iterates a list it is mutating.  An exception escaping a
+shift once it has started changing state leaves the engine unusable: every
+later shift or query raises instead of answering from a half-applied shift.
 """
 
 from __future__ import annotations
@@ -62,6 +67,8 @@ class MinerEngine:
     final trie of the most recent shift until the next one starts, which the
     tests use for structural checks.  A shift validates its arguments before
     it changes any state, so a rejected call leaves the engine as it was.
+    An error after that point is kept in ``failure`` and makes every later
+    shift, ``snapshot`` and ``closure_record`` raise RuntimeError.
     """
 
     def __init__(self, store: CIStore | None = None, index: InvertedIndex | None = None):
@@ -69,6 +76,14 @@ class MinerEngine:
         self.index = index if index is not None else InvertedIndex()
         self.trie = Trie()
         self.window_tids: set = set()
+        self.failure: BaseException | None = None
+
+    def check_usable(self) -> None:
+        """Raise RuntimeError if an earlier shift failed part-way."""
+        if self.failure is not None:
+            raise RuntimeError(
+                "a shift failed part-way, so the mining state is inconsistent; "
+                "rebuild it from the window") from self.failure
 
     # ------------------------------------------------------------------
     # full shifts
@@ -82,71 +97,19 @@ class MinerEngine:
         (a permutation of the itemset); results are order-independent, the
         default ascending order just makes traces reproducible.
         """
+        self.check_usable()
         if tid in self.window_tids:
             raise ValueError(f"tid {tid} is already in the window")
         items = _normalize(items)
         order = items if item_order is None else _check_order(item_order, items)
-        self.window_tids.add(tid)
-        if not items:
-            return ShiftReport("add", tid)
-
-        store = self.store
-        index = self.index
-        shift = store.advance_shift()
-        trie = self.trie.reset(INCREMENT)
-        root = trie.root
-        nodes = trie.nodes
-        nodes_append = nodes.append
-        lists = index.lists
-        entries = len(order)
-
-        # The bootstrap record is an implicit head of every inverted list;
-        # walking it up front creates the full-itemset path.  Every node on
-        # that path is fresh, and final node states do not depend on arrival
-        # order within an item's scan.
-        prev = root
-        ci0 = store.universe
-        ci0.cursor_shift = shift
-        for a in order:
-            n = TrieNode(a, prev, len(nodes))
-            nodes_append(n)
-            prev.children = {a: n}
-            prev.refs -= 1
-            n.refs = 1
-            n.top = [ci0]
-            n.top_supp = 0
-            prev = n
-        ci0.cursor = prev
-
-        for a in order:
-            lst = lists.get(a)
-            if lst is None:
-                continue
-            entries += len(lst)
-            for c in lst:
-                if c.cursor_shift != shift:
-                    c.cursor_shift = shift
-                    prev = root
-                else:
-                    prev = c.cursor
-                ch = prev.children
-                n = ch.get(a) if ch is not None else None
-                if n is None:
-                    n = TrieNode(a, prev, len(nodes))
-                    nodes_append(n)
-                    if ch is None:
-                        prev.children = {a: n}
-                    else:
-                        ch[a] = n
-                prev.refs -= 1
-                n.refs += 1
-                c.cursor = n
-                s = c.support
-                if s > n.top_supp:
-                    n.top_supp = s
-                    n.top = [c]
-
-        return self.update_cis_inc(tid, entries)
+        try:
+            self.window_tids.add(tid)
+            if not items:
+                return ShiftReport("add", tid)
+            return self.update_cis_inc(tid, self._route(order, INCREMENT))
+        except BaseException as e:
+            self.failure = e
+            raise
 
     def shift_remove(self, tid, items, item_order=None) -> ShiftReport:
         """Fold an evicted transaction out of the CI family.
@@ -154,62 +117,89 @@ class MinerEngine:
         ``items`` must be the evicted transaction's itemset as recorded by
         the window driver; it is not recomputable from the store.
         """
+        self.check_usable()
         if tid not in self.window_tids:
             raise ValueError(f"tid {tid} is not in the window")
         items = _normalize(items)
         order = items if item_order is None else _check_order(item_order, items)
-        self.window_tids.discard(tid)
-        if not items:
-            return ShiftReport("remove", tid)
+        try:
+            self.window_tids.discard(tid)
+            if not items:
+                return ShiftReport("remove", tid)
+            return self.update_cis_dec(tid, self._route(order, DECREMENT))
+        except BaseException as e:
+            self.failure = e
+            raise
 
-        store = self.store
-        index = self.index
-        shift = store.advance_shift()
-        trie = self.trie.reset(DECREMENT)
+    def _route(self, order, mode: str) -> int:
+        """Phase 1: build this shift's trie and settle its node summaries.
+
+        Returns the number of (item, CI) entries scanned, bootstrap record
+        included.  The per-entry loop only advances cursors; ``refs``,
+        ``top``/``top_supp`` and ``runners`` are filled afterwards from the
+        node each routed CI ends on, bootstrap record first.
+        """
+        self.store.advance_shift()
+        trie = self.trie
+        trie.reset(mode)
         root = trie.root
         nodes = trie.nodes
         nodes_append = nodes.append
-        lists = index.lists
-        entries = len(order)
 
+        # The bootstrap record is an implicit head of every inverted list;
+        # walking it up front creates the full-itemset path, all fresh nodes.
         prev = root
-        ci0 = store.universe
-        ci0.cursor_shift = shift
         for a in order:
             n = TrieNode(a, prev, len(nodes))
             nodes_append(n)
-            prev.children = {a: n}
-            prev.refs -= 1
-            n.refs = 1
-            n.top = [ci0]
-            n.top_supp = 0
-            n.runners = []
+            prev.children[a] = n
             prev = n
+        ci0 = self.store.universe
         ci0.cursor = prev
+        routed = [ci0]
+        routed_append = routed.append
 
+        lists = self.index.lists
+        entries = len(order)
         for a in order:
             lst = lists.get(a)
-            if lst is None:
+            if not lst:
                 continue
             entries += len(lst)
             for c in lst:
-                if c.cursor_shift != shift:
-                    c.cursor_shift = shift
-                    prev = root
-                else:
-                    prev = c.cursor
+                prev = c.cursor
                 ch = prev.children
-                n = ch.get(a) if ch is not None else None
+                if ch is None:
+                    # first visit this shift: the cursor rests on a severed node
+                    prev = root
+                    ch = root.children
+                    routed_append(c)
+                n = ch.get(a)
                 if n is None:
                     n = TrieNode(a, prev, len(nodes))
                     nodes_append(n)
-                    if ch is None:
-                        prev.children = {a: n}
-                    else:
-                        ch[a] = n
-                prev.refs -= 1
-                n.refs += 1
+                    ch[a] = n
                 c.cursor = n
+
+        # An end node's class closure ends on it and out-supports every other
+        # CI passing through it, so settling from the CIs that end on a node
+        # gives the top and the certifying runner-ups the categorization
+        # needs; nodes no CI ends on keep refs 0 and no summary.
+        if mode == INCREMENT:
+            for c in routed:
+                n = c.cursor
+                n.refs += 1
+                s = c.support
+                if s > n.top_supp:
+                    n.top_supp = s
+                    n.top = [c]
+        else:
+            # top and runners by support gap: two or more above the running
+            # maximum flushes both sets, one above demotes the old top to the
+            # runners, a tie joins the top, one below joins the runners
+            for c in routed:
+                n = c.cursor
+                n.refs += 1
                 d = c.support - n.top_supp
                 if d >= 2:
                     n.top = [c]
@@ -223,64 +213,7 @@ class MinerEngine:
                     n.top.append(c)
                 elif d == -1:
                     n.runners.append(c)
-
-        return self.update_cis_dec(tid, entries)
-
-    # ------------------------------------------------------------------
-    # single routing step (canonical form of the inner loop above)
-    # ------------------------------------------------------------------
-
-    def expand_path(self, c: CIRecord, a) -> None:
-        """Advance one CI's cursor along item ``a``.
-
-        The shift loops inline this logic for speed; this method is the
-        reference form, used by step-level tests and the equivalence check
-        between the two.
-        """
-        trie = self.trie
-        shift = self.store.shift
-        if c.cursor_shift != shift:
-            c.cursor_shift = shift
-            prev = trie.root
-        else:
-            prev = c.cursor
-        n = prev.child(a)
-        if n is None:
-            n = trie.add_child(prev, a)
-        prev.refs -= 1
-        n.refs += 1
-        c.cursor = n
-        if trie.mode == INCREMENT:
-            self.update_gen_inc(c, n)
-        else:
-            self.update_gen_dec(c, n)
-
-    def update_gen_inc(self, c: CIRecord, n: TrieNode) -> None:
-        """Keep ``n.top`` on the best-supported CI routed through ``n``."""
-        if c.support > n.top_supp:
-            n.top_supp = c.support
-            n.top = [c]
-
-    def update_gen_dec(self, c: CIRecord, n: TrieNode) -> None:
-        """Maintain top and runner-up CIs by support gap.
-
-        Two or more above the running maximum flushes both sets; exactly one
-        above shifts the old top into the runners; zero joins the top; minus
-        one joins the runners; anything lower is ignored.
-        """
-        d = c.support - n.top_supp
-        if d >= 2:
-            n.top = [c]
-            n.top_supp = c.support
-            n.runners = []
-        elif d == 1:
-            n.runners = n.top
-            n.top = [c]
-            n.top_supp = c.support
-        elif d == 0:
-            n.top.append(c)
-        elif d == -1:
-            n.runners.append(c)
+        return entries
 
     # ------------------------------------------------------------------
     # categorization and store update
@@ -312,9 +245,12 @@ class MinerEngine:
     def update_cis_dec(self, tid, entries_scanned: int = 0) -> ShiftReport:
         """Phase 2+3 of a removal over the engine's final trie.
 
-        A runner-up whose cursor still rests on the end node certifies the
-        node's CI obsolete; runner-up entries whose cursor moved deeper are
-        leftovers from prefixes of their own intersection and are skipped.
+        A runner-up resting on the end node, that is a CI ending there one
+        support unit below the lone top, certifies the node's CI obsolete;
+        otherwise the top is demoted.  Routing settles a node from the CIs
+        ending on it, so the cursor test passes on the first runner; it
+        keeps the rule exact for summaries kept per list entry, where a
+        runner may have moved deeper.
         """
         report = ShiftReport("remove", tid, nodes_created=len(self.trie.nodes),
                              entries_scanned=entries_scanned)
@@ -331,15 +267,10 @@ class MinerEngine:
             x = n.top[0]
             if x.id == 0:
                 raise AssertionError("bootstrap record surfaced as an end-node top")
-            certified = False
-            if n.runners:
-                for g in n.runners:
-                    if g.cursor is n:
-                        certified = True
-                        break
-            if certified:
-                itemset = self.remove_ci(n, x)
-                obsolete.append((x.id, itemset))
+            for g in n.runners:
+                if g.cursor is n:
+                    obsolete.append((x.id, self.remove_ci(n, x)))
+                    break
             else:
                 x.support -= 1
                 demoted.append(x.id)
@@ -365,6 +296,7 @@ class MinerEngine:
     # ------------------------------------------------------------------
 
     def snapshot(self, min_supp: int = 1) -> list[tuple[tuple, int]]:
+        self.check_usable()
         return snapshot(self.store, self.index, min_supp)
 
     def closure_record(self, items) -> CIRecord | None:
@@ -377,6 +309,7 @@ class MinerEngine:
         unique maximum.  Cost is one C-level pass over the shortest list,
         with an O(1) membership probe per further item.
         """
+        self.check_usable()
         items = _normalize(items)
         if not items:
             return None

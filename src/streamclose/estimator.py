@@ -188,6 +188,8 @@ class ClosedItemsetStreamMiner:
         return out
 
     def _require_fitted(self) -> None:
+        """Refuse use before fitting, and after a shift failed part-way."""
         if not hasattr(self, "driver_"):
             raise NotFittedError(
                 f"{type(self).__name__} has not been fitted; call fit or partial_fit")
+        self.driver_.engine.check_usable()

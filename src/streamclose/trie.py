@@ -2,17 +2,18 @@
 
 Nodes spell out prefixes of the growing intersections between stored CIs and
 the shifted transaction; the trie lives for exactly one shift and is rebuilt
-from scratch on the next.  Node fields:
+from scratch on the next.  Routing only creates nodes and moves cursors;
+the summaries below are settled afterwards, once per routed CI, on the node
+that CI's cursor ends on:
 
-  refs      how many CI cursors currently rest on this node; after the last
-            item is processed, refs > 0 marks exactly the complete
-            intersections (the shift's work set)
-  top       CIs holding the highest support routed through this node; in
+  refs      how many CI cursors end on this node; refs > 0 marks exactly
+            the complete intersections (the shift's work set)
+  top       CIs holding the highest support among those ending here; in
             increment mode kept to a single entry by replacement
   top_supp  that highest support, initialized to a sentinel low enough that
             the first arrival always wins by two or more
-  runners   decrement mode only: CIs seen exactly one support unit behind
-            the top at the time they arrived
+  runners   decrement mode only: CIs ending here exactly one support unit
+            below the top
 
 The arena list is retained across shifts (cleared, not reallocated) and
 doubles as the deterministic traversal order: nodes appear in creation order
@@ -22,8 +23,11 @@ A node and its parent's ``children`` dict point at each other, and a node's
 ``top``/``runners`` hold CI records whose cursors point back at it, so a
 finished trie is full of reference cycles.  ``reset`` severs those links on
 every old node before dropping the arena, so the old trie is freed by
-reference counting alone and never reaches the cyclic garbage collector; a
-stale ``CIRecord.cursor`` keeps at most its own detached node alive.
+reference counting alone and never reaches the cyclic garbage collector.
+Every live node has a ``children`` dict, leaves included, and a severed one
+has None, so a cursor left over from an earlier shift is recognised by the
+node it points at: a CI never routed points at the shared, equally severed
+``DETACHED`` node.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ class TrieNode:
         self.node_id = node_id
         self.item = item
         self.parent = parent
-        self.children = None
+        self.children = {}
         self.depth = 0 if parent is None else parent.depth + 1
         self.refs = 0
         self.top = None
@@ -53,8 +57,7 @@ class TrieNode:
 
     def child(self, item):
         """Successor carrying ``item``, or None."""
-        ch = self.children
-        return ch.get(item) if ch is not None else None
+        return self.children.get(item)
 
     def itemset(self) -> tuple:
         """Ascending itemset along the root path; the root has none."""
@@ -71,6 +74,11 @@ class TrieNode:
     def __repr__(self):
         tag = "root" if self.parent is None else f"item={self.item}"
         return f"TrieNode({self.node_id}, {tag}, depth={self.depth}, refs={self.refs})"
+
+
+# Where the cursor of a CI that was never routed points.
+DETACHED = TrieNode(None, None, -1)
+DETACHED.children = None
 
 
 class Trie:
@@ -99,15 +107,11 @@ class Trie:
 
     def add_child(self, node: TrieNode, item) -> TrieNode:
         """Create the successor of ``node`` carrying ``item``."""
-        ch = node.children
-        if ch is not None and item in ch:
+        if item in node.children:
             raise AssertionError(f"duplicate child {item} under node {node.node_id}")
         child = TrieNode(item, node, len(self.nodes))
         self.nodes.append(child)
-        if ch is None:
-            node.children = {item: child}
-        else:
-            ch[item] = child
+        node.children[item] = child
         return child
 
     @property
@@ -141,9 +145,8 @@ class Trie:
             lines.append(
                 f"{n.depth} {item} {n.refs} {n.top_supp} min={fmt(n.top)} gen={fmt(n.runners)}"
             )
-            if n.children:
-                for _, c in n.children.items():
-                    visit(c)
+            for c in n.children.values():
+                visit(c)
 
         visit(self.root)
         return "\n".join(lines)

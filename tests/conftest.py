@@ -71,11 +71,66 @@ def random_stream(rng: random.Random, alphabet: int, length: int,
             for _ in range(length)]
 
 
-def step_shift(eng: MinerEngine, tid, items, kind: str) -> ShiftReport:
-    """Run one shift through the single-step ops instead of the fast loop.
+def expand_path(eng: MinerEngine, c, a) -> None:
+    """Advance one CI's cursor along item ``a``: the per-entry reference form.
 
-    Reference implementation used to pin the inlined shift loops to
-    expand_path/update_gen/update_cis semantics.
+    Unlike the engine's routing loop, which settles node summaries once per
+    CI from the node it ends on, this keeps the paper's passing-through
+    bookkeeping: ``refs`` counts cursors currently resting on a node, and
+    every node on the path updates its top/runners.  A stale cursor is
+    recognised the same way, by the severed node it points at.
+    """
+    trie = eng.trie
+    prev = c.cursor
+    if prev.children is None:
+        prev = trie.root
+    n = prev.child(a)
+    if n is None:
+        n = trie.add_child(prev, a)
+    prev.refs -= 1
+    n.refs += 1
+    c.cursor = n
+    if trie.mode == INCREMENT:
+        update_gen_inc(c, n)
+    else:
+        update_gen_dec(c, n)
+
+
+def update_gen_inc(c, n) -> None:
+    """Keep ``n.top`` on the best-supported CI routed through ``n``."""
+    if c.support > n.top_supp:
+        n.top_supp = c.support
+        n.top = [c]
+
+
+def update_gen_dec(c, n) -> None:
+    """Maintain top and runner-up CIs by support gap.
+
+    Two or more above the running maximum flushes both sets; exactly one
+    above shifts the old top into the runners; zero joins the top; minus
+    one joins the runners; anything lower is ignored.
+    """
+    d = c.support - n.top_supp
+    if d >= 2:
+        n.top = [c]
+        n.top_supp = c.support
+        n.runners = []
+    elif d == 1:
+        n.runners = n.top
+        n.top = [c]
+        n.top_supp = c.support
+    elif d == 0:
+        n.top.append(c)
+    elif d == -1:
+        n.runners.append(c)
+
+
+def step_shift(eng: MinerEngine, tid, items, kind: str) -> ShiftReport:
+    """Run one shift through the per-entry reference form.
+
+    Routes every (item, CI) entry through expand_path, then categorizes with
+    the engine's own update_cis_inc/update_cis_dec; pins the engine's
+    routing loop to the paper's per-entry semantics.
     """
     items = tuple(sorted(set(items)))
     if kind == "add":
@@ -92,10 +147,10 @@ def step_shift(eng: MinerEngine, tid, items, kind: str) -> ShiftReport:
     eng.trie.reset(INCREMENT if kind == "add" else DECREMENT)
     entries = 0
     for a in items:
-        eng.expand_path(eng.store.universe, a)
+        expand_path(eng, eng.store.universe, a)
         entries += 1
         for rec in list(eng.index.lists.get(a, ())):
-            eng.expand_path(rec, a)
+            expand_path(eng, rec, a)
             entries += 1
     if kind == "add":
         return eng.update_cis_inc(tid, entries)

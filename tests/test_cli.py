@@ -139,3 +139,38 @@ def test_byte_identical_reruns(d10, tmp_path):
     # stats contain wall times; compare the deterministic prefix columns
     strip = lambda p: ["," .join(line.split(",")[:10]) for line in p.read_text().splitlines()]
     assert strip(sa) == strip(sb)
+
+
+def test_verify_rejected_half_leaves_driver_intact():
+    driver = cli.StreamDriver(cli.WindowConfig(capacity=2, mode="sliding"))
+    checked = []
+    for items in [(0, 1), (1, 2)]:
+        assert cli._verify_push(driver, items, checked.append) is None
+    eng = driver.engine
+
+    def state():
+        return list(driver.buffer), driver.next_tid, set(eng.window_tids)
+
+    # the engine refuses the eviction: the oldest entry stays buffered
+    old_tid, old_items = driver.buffer[0]
+    eng.shift_remove(old_tid, old_items)
+    before = state()
+    with pytest.raises(ValueError):
+        cli._verify_push(driver, (2, 3), checked.append)
+    assert state() == before
+    eng.shift_add(old_tid, old_items)
+
+    # the next tid is taken: nothing is evicted and the counter stays put
+    eng.shift_add(driver.next_tid, (9,))
+    before = state()
+    with pytest.raises(ValueError):
+        cli._verify_push(driver, (2, 3), checked.append)
+    assert state() == before
+    eng.shift_remove(driver.next_tid, (9,))
+
+    assert len(checked) == 2
+    assert cli._verify_push(driver, (2, 3), checked.append) is None
+    assert [r.kind for r in checked[2:]] == ["remove", "add"]
+    assert [tid for tid, _ in driver.buffer] == [1, 2]
+    fam = {frozenset(x): s for x, s in eng.snapshot(1)}
+    assert fam == oracle.closed_itemsets({t: frozenset(x) for t, x in driver.buffer})

@@ -7,16 +7,19 @@ import pytest
 
 from streamclose import MinerEngine, StreamDriver, WindowConfig, oracle
 from streamclose.store import CIRecord, materialize_itemset
-from streamclose.trie import DECREMENT, INCREMENT
+from streamclose.trie import DECREMENT, DETACHED, INCREMENT
 from conftest import (
     TABLE1,
     TABLE2,
     TABLE3,
+    expand_path,
     ids_family,
     landmark_driver,
     random_stream,
     step_shift,
     token_family,
+    update_gen_dec,
+    update_gen_inc,
     window_db,
 )
 
@@ -166,6 +169,49 @@ def test_remove_rejected_order_leaves_state_unchanged():
     eng.check_invariants()
 
 
+@pytest.mark.parametrize("kind", ["add", "remove"])
+def test_failed_shift_poisons_the_engine(kind):
+    eng = MinerEngine()
+    eng.shift_add(1, (0, 1))
+    eng.shift_add(2, (1,))
+
+    def broken(record, items):
+        raise MemoryError("simulated")
+
+    if kind == "add":
+        eng.index.add = broken
+        with pytest.raises(MemoryError):
+            eng.shift_add(3, (0, 2))
+    else:
+        eng.shift_add(3, (2,))
+        eng.index.remove = broken
+        with pytest.raises(MemoryError):
+            eng.shift_remove(1, (0, 1))
+    assert isinstance(eng.failure, MemoryError)
+    for call in (lambda: eng.shift_add(4, (5,)),
+                 lambda: eng.shift_remove(2, (1,)),
+                 lambda: eng.snapshot(1),
+                 lambda: eng.closure_record((1,))):
+        with pytest.raises(RuntimeError, match="failed part-way") as err:
+            call()
+        assert err.value.__cause__ is eng.failure
+
+
+def test_rejections_do_not_poison():
+    eng = MinerEngine()
+    eng.shift_add(1, (0, 1))
+    for call in (lambda: eng.shift_add(1, (2,)),
+                 lambda: eng.shift_add(2, (0, 1), item_order=(0, 2)),
+                 lambda: eng.shift_remove(5, (0,)),
+                 lambda: eng.shift_remove(1, (0, 1), item_order=(1,))):
+        with pytest.raises(ValueError):
+            call()
+    assert eng.failure is None
+    assert eng.closure_record((0,)).support == 1
+    eng.shift_remove(1, (0, 1))
+    assert eng.snapshot(1) == []
+
+
 def test_remove_last_transaction_empties_family():
     eng = MinerEngine()
     eng.shift_add(1, (3, 4))
@@ -185,29 +231,46 @@ def test_remove_duplicate_transaction_only_demotes():
     assert ids_family(eng) == {frozenset((0, 1)): 1}
 
 
-def test_stale_runner_entry_does_not_certify(table2_driver):
-    # when the second transaction leaves, the abcef record lingers in the
-    # runner set of the abc end node but its cursor has moved deeper, so
-    # abc's removal must be certified by abcd instead
-    driver = table2_driver
-    eng = driver.engine
+def abc_node(driver):
     d = driver.dictionary
-    tid, items = driver.buffer.popleft()
-    eng.shift_remove(tid, items)
-    abcef_id = next(cid for cid, rec in eng.store.records.items()
-                    if cid != 0 and rec.size == 5)
-    abcef_rec = eng.store.records[abcef_id]
-    tid, items = driver.buffer.popleft()
-    report = eng.shift_remove(tid, items)
-    node = eng.trie.root.child(d.intern("a"))
-    node = node.child(d.intern("b"))
-    node_abc = node.child(d.intern("c"))
-    runner_ids = {r.id for r in node_abc.runners}
-    assert abcef_id in runner_ids          # left behind
-    assert abcef_rec.cursor is not node_abc  # but pointing deeper
-    certifier = next(r for r in node_abc.runners if r.cursor is node_abc)
-    assert certifier.size == 4             # abcd, support one below abc
-    assert tuple("abc") in {tokens_of(driver, i) for _, i in report.obsolete}
+    return driver.engine.trie.root.child(d.intern("a")).child(
+        d.intern("b")).child(d.intern("c"))
+
+
+def test_stale_runner_entry_does_not_certify(table2_driver):
+    # when the second transaction leaves, the abcef record passes through
+    # the abc end node on its way deeper, so abc's removal must be
+    # certified by abcd, which ends there one support unit below abc
+    shifted = []
+    for driver, shift in ((table2_driver, None), (landmark_driver(TABLE1), step_shift)):
+        eng = driver.engine
+        tid, items = driver.buffer.popleft()
+        eng.shift_remove(tid, items)
+        abcef_rec = next(rec for cid, rec in eng.store.records.items()
+                         if cid != 0 and rec.size == 5)
+        tid, items = driver.buffer.popleft()
+        if shift is None:
+            report = eng.shift_remove(tid, items)
+        else:
+            report = shift(eng, tid, items, "remove")
+        node_abc = abc_node(driver)
+        above_end = []                      # abcef ends deeper, below abc
+        n = abcef_rec.cursor.parent
+        while n is not None:
+            above_end.append(n)
+            n = n.parent
+        assert any(n is node_abc for n in above_end)
+        certifier = next(r for r in node_abc.runners if r.cursor is node_abc)
+        assert certifier.size == 4             # abcd, support one below abc
+        assert tuple("abc") in {tokens_of(driver, i) for _, i in report.obsolete}
+        shifted.append((node_abc, abcef_rec))
+    # routing settles runners only from CIs ending on the node
+    node_abc, abcef_rec = shifted[0]
+    assert abcef_rec not in node_abc.runners
+    assert all(r.cursor is node_abc for r in node_abc.runners)
+    # the per-entry reference form leaves abcef behind, but it does not certify
+    node_abc, abcef_rec = shifted[1]
+    assert abcef_rec in node_abc.runners
 
 
 def test_remove_shrinks_inverted_lists(table2_driver):
@@ -254,9 +317,9 @@ def test_expand_path_walks_bc(table3_driver):
     eng.store.advance_shift()
     eng.trie.reset(INCREMENT)
     for a in (b, c):
-        eng.expand_path(eng.store.universe, a)
+        expand_path(eng, eng.store.universe, a)
         for rec in list(eng.index.lists.get(a, ())):
-            eng.expand_path(rec, a)
+            expand_path(eng, rec, a)
         if a == b:
             node_b = eng.trie.root.child(b)
             assert bc.cursor is node_b
@@ -266,6 +329,10 @@ def test_expand_path_walks_bc(table3_driver):
     assert node_b.refs < refs_after_b  # departures decremented the counter
 
 
+def in_current_trie(eng, node) -> bool:
+    return any(n is node for n in eng.trie.nodes)
+
+
 def test_untouched_ci_keeps_stale_cursor(table3_driver):
     driver = table3_driver
     eng = driver.engine
@@ -273,10 +340,11 @@ def test_untouched_ci_keeps_stale_cursor(table3_driver):
                  if cid != 0 and rec.size == 1
                  and materialize_itemset(eng.store, eng.index, cid)
                  == (driver.dictionary.intern("d"),))
-    stamp = d_rec.cursor_shift
+    cursor = d_rec.cursor
     driver.push(TABLE1[9])  # bcgh shares nothing with {d}
-    assert d_rec.cursor_shift == stamp
-    assert d_rec.cursor_shift != eng.store.shift
+    assert d_rec.cursor is cursor
+    assert not in_current_trie(eng, d_rec.cursor)
+    assert d_rec.cursor.children is None  # severed by the trie reset
 
 
 def test_bootstrap_record_walks_full_path(table3_driver):
@@ -284,10 +352,18 @@ def test_bootstrap_record_walks_full_path(table3_driver):
     eng = driver.engine
     driver.push(TABLE1[9])
     ci0 = eng.store.universe
-    assert ci0.cursor_shift == eng.store.shift
+    assert in_current_trie(eng, ci0.cursor)
     assert ci0.cursor.depth == 4
     assert tokens_of(driver, ci0.cursor.itemset()) == tuple("bcgh")
     assert ci0.cursor.refs >= 1
+
+
+def test_new_record_cursor_is_detached():
+    eng = MinerEngine()
+    report = eng.shift_add(1, (0, 1))
+    rec = eng.store.records[report.new_cis[0][0]]
+    assert rec.cursor is DETACHED and DETACHED.children is None
+    assert not in_current_trie(eng, rec.cursor)
 
 
 def test_update_gen_inc_cases():
@@ -295,13 +371,13 @@ def test_update_gen_inc_cases():
     trie = eng.trie.reset(INCREMENT)
     n = trie.add_child(trie.root, 9)
     c1 = CIRecord(1, 3, 2)
-    eng.update_gen_inc(c1, n)
+    update_gen_inc(c1, n)
     assert n.top == [c1] and n.top_supp == 3
     c2 = CIRecord(2, 5, 2)
-    eng.update_gen_inc(c2, n)
+    update_gen_inc(c2, n)
     assert n.top == [c2] and n.top_supp == 5
     c3 = CIRecord(3, 5, 1)
-    eng.update_gen_inc(c3, n)  # ties do not displace
+    update_gen_inc(c3, n)  # ties do not displace
     assert n.top == [c2]
 
 
@@ -324,22 +400,22 @@ def test_update_gen_dec_four_cases():
     trie = eng.trie.reset(DECREMENT)
     n = trie.add_child(trie.root, 9)
     c_first = CIRecord(1, 2, 2)
-    eng.update_gen_dec(c_first, n)  # sentinel forces the flush branch
+    update_gen_dec(c_first, n)  # sentinel forces the flush branch
     assert n.top == [c_first] and n.runners == [] and n.top_supp == 2
     c_low = CIRecord(2, 1, 3)
-    eng.update_gen_dec(c_low, n)    # one below: joins runners
+    update_gen_dec(c_low, n)    # one below: joins runners
     assert n.runners == [c_low]
     c_tie = CIRecord(3, 2, 4)
-    eng.update_gen_dec(c_tie, n)    # tie: joins top
+    update_gen_dec(c_tie, n)    # tie: joins top
     assert n.top == [c_first, c_tie]
     c_up = CIRecord(4, 3, 1)
-    eng.update_gen_dec(c_up, n)     # one above: old top becomes the runners
+    update_gen_dec(c_up, n)     # one above: old top becomes the runners
     assert n.top == [c_up] and n.runners == [c_first, c_tie] and n.top_supp == 3
     c_far = CIRecord(5, 1, 5)
-    eng.update_gen_dec(c_far, n)    # two or more below: ignored
+    update_gen_dec(c_far, n)    # two or more below: ignored
     assert n.runners == [c_first, c_tie]
     c_flush = CIRecord(6, 5, 1)
-    eng.update_gen_dec(c_flush, n)  # two or more above: flush both
+    update_gen_dec(c_flush, n)  # two or more above: flush both
     assert n.top == [c_flush] and n.runners == [] and n.top_supp == 5
 
 
@@ -373,7 +449,10 @@ def test_step_ops_equal_fast_loops():
                 r2 = step_shift(slow, otid, oitems, "remove")
                 assert sorted(i for _, i in r1.obsolete) == \
                     sorted(i for _, i in r2.obsolete)
+                assert len(r1.demoted) == len(r2.demoted)
                 assert r1.entries_scanned == r2.entries_scanned
+                assert r1.nodes_created == r2.nodes_created
+                assert fast.snapshot(1) == slow.snapshot(1)
             r1 = fast.shift_add(tid, items)
             r2 = step_shift(slow, tid, items, "add")
             live.append((tid, items))
@@ -383,6 +462,29 @@ def test_step_ops_equal_fast_loops():
             assert r1.entries_scanned == r2.entries_scanned
             assert r1.nodes_created == r2.nodes_created
             assert fast.snapshot(1) == slow.snapshot(1)
+
+
+def test_sliding_routing_work_is_pinned():
+    # exact totals of a seeded sliding replay; a change to how routing or
+    # categorization works must move none of them
+    driver = StreamDriver(WindowConfig(capacity=30, mode="sliding"))
+    totals = dict.fromkeys(
+        ("entries", "nodes", "new", "promoted", "obsolete", "demoted"), 0)
+    for items in random_stream(random.Random(2024), 14, 400, max_len=9):
+        for rep in driver.push_ids(items):
+            if rep is None:
+                continue
+            totals["entries"] += rep.entries_scanned
+            totals["nodes"] += rep.nodes_created
+            totals["new"] += len(rep.new_cis)
+            totals["promoted"] += len(rep.promoted)
+            totals["obsolete"] += len(rep.obsolete)
+            totals["demoted"] += len(rep.demoted)
+    assert totals == {"entries": 223739, "nodes": 29029, "new": 4487,
+                      "promoted": 7205, "obsolete": 4241, "demoted": 7138}
+    assert driver.live_cis == 246
+    assert driver.engine.index.entry_count == 802
+    assert ids_family(driver.engine) == oracle.closed_itemsets(window_db(driver.buffer))
 
 
 def test_report_counters_match_list_lengths(table3_driver):

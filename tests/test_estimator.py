@@ -177,3 +177,27 @@ def test_query_duplicate_unknown_and_empty_tokens():
     assert miner.predict([["a", "b", "a"], ["z"], ["a", "z"], []]) == [3, 0, 0, 0]
     assert miner.transform([["b", "a", "b"], ["z", "z"], []]) == \
         [("a", "b", "c"), None, None]
+
+
+def test_failed_shift_poisons_the_miner():
+    miner = ClosedItemsetStreamMiner(window_size=2, mode="sliding")
+    miner.fit([["a", "b"], ["c"]])
+    eng = miner.driver_.engine
+    # drop the ab record from b's inverted list: evicting ab then leaves
+    # the full-itemset node to the bootstrap record alone, after the record
+    # ending on a has already been demoted
+    b = miner.driver_.dictionary.intern("b")
+    del eng.index.lists[b][next(iter(eng.index.lists[b]))]
+    with pytest.raises(AssertionError):
+        miner.update(["d"])
+    for call in (lambda: miner.update(["e"]),
+                 lambda: miner.partial_fit([["e"]]),
+                 lambda: miner.predict([["c"]]),
+                 lambda: miner.predict([["unknown"]]),
+                 lambda: miner.transform([["c"]]),
+                 lambda: miner.discover()):
+        with pytest.raises(RuntimeError, match="failed part-way"):
+            call()
+    # a refit starts from a fresh engine
+    miner.fit([["a", "b"], ["c"]])
+    assert miner.predict([["c"], ["a", "b"]]) == [1, 1]

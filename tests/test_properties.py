@@ -93,8 +93,11 @@ def test_end_nodes_spell_the_work_set(stream, t_new):
     non_root = [n for n in eng.trie.nodes if n.parent is not None]
     assert all(n.refs >= 0 for n in non_root)
     assert all(frozenset(n.itemset()) <= t_new for n in non_root)
-    routed = sum(1 for rec in list(eng.store.records.values())
-                 if rec.cursor_shift == eng.store.shift)
+    # a CI was routed this shift exactly when its cursor is a node of the
+    # current trie
+    in_trie = {id(n) for n in eng.trie.nodes}
+    routed = sum(1 for rec in eng.store.records.values()
+                 if id(rec.cursor) in in_trie)
     assert sum(n.refs for n in non_root) == routed
 
 
