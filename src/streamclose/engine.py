@@ -17,8 +17,9 @@ phases:
      marks a promotion, anything else a creation.  On removal, a CI ending
      on the node one support unit below the top certifies the node's CI
      obsolete; otherwise it is merely demoted.
-  3. Store update.  Created CIs enter the inverted lists of their items;
-     obsolete ones leave the store and every list they appear in.
+  3. Store update.  Created CIs enter the inverted lists of their items
+     and keep their itemset on their record; obsolete ones leave the store
+     and every list their record names.
 
 Inverted lists are only read during routing and only written during phase 3,
 so the scan never iterates a list it is mutating.  An exception escaping a
@@ -152,7 +153,7 @@ class MinerEngine:
         for a in order:
             n = TrieNode(a, prev, len(nodes))
             nodes_append(n)
-            prev.children[a] = n
+            prev.children = {a: n}
             prev = n
         ci0 = self.store.universe
         ci0.cursor = prev
@@ -178,7 +179,11 @@ class MinerEngine:
                 if n is None:
                     n = TrieNode(a, prev, len(nodes))
                     nodes_append(n)
-                    ch[a] = n
+                    if ch:
+                        ch[a] = n
+                    else:
+                        # a leaf's first child: leave the shared empty dict be
+                        prev.children = {a: n}
                 c.cursor = n
 
         # An end node's class closure ends on it and out-supports every other
@@ -237,7 +242,7 @@ class MinerEngine:
                 promoted.append(c.id)
             else:
                 itemset = n.itemset()
-                rec = store.new_ci(c.support + 1, n.depth)
+                rec = store.new_ci(c.support + 1, itemset)
                 index.add(rec, itemset)
                 new_cis.append((rec.id, itemset, rec.support))
         return report
@@ -279,13 +284,13 @@ class MinerEngine:
     def remove_ci(self, n: TrieNode, record: CIRecord) -> tuple:
         """Drop an obsolete CI from the store and all its inverted lists.
 
-        The CI's itemset equals the node's path, so the path supplies the
-        lists to fix up.
+        The record's itemset names the lists to fix up.  The CI ends on its
+        own node, so the node's path is that itemset and its depth the size.
         """
-        itemset = n.itemset()
-        if record.size != len(itemset):
+        itemset = record.itemset
+        if n.depth != record.size:
             raise AssertionError(
-                f"CI {record.id}: path length {len(itemset)} vs size {record.size}"
+                f"CI {record.id}: path length {n.depth} vs size {record.size}"
             )
         self.index.remove(record, itemset)
         self.store.remove(record.id)

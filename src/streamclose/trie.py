@@ -24,10 +24,12 @@ A node and its parent's ``children`` dict point at each other, and a node's
 finished trie is full of reference cycles.  ``reset`` severs those links on
 every old node before dropping the arena, so the old trie is freed by
 reference counting alone and never reaches the cyclic garbage collector.
-Every live node has a ``children`` dict, leaves included, and a severed one
-has None, so a cursor left over from an earlier shift is recognised by the
-node it points at: a CI never routed points at the shared, equally severed
-``DETACHED`` node.
+A leaf's ``children`` is the shared, always empty ``NO_CHILDREN`` dict, which
+the node-creating code replaces with a fresh dict on the first child, so
+leaves allocate none.  A severed node's ``children`` is None, so
+a cursor left over from an earlier shift is recognised by the node it points
+at: a CI never routed points at the shared, equally severed ``DETACHED``
+node.
 """
 
 from __future__ import annotations
@@ -39,6 +41,9 @@ DECREMENT = "remove"
 # even for the support-0 bootstrap record.
 SUPPORT_FLOOR = -2
 
+# Every leaf's children; never written, only replaced on a node's first child.
+NO_CHILDREN: dict = {}
+
 
 class TrieNode:
     __slots__ = ("node_id", "item", "parent", "children", "depth",
@@ -48,16 +53,12 @@ class TrieNode:
         self.node_id = node_id
         self.item = item
         self.parent = parent
-        self.children = {}
+        self.children = NO_CHILDREN
         self.depth = 0 if parent is None else parent.depth + 1
         self.refs = 0
         self.top = None
         self.top_supp = SUPPORT_FLOOR
         self.runners = None
-
-    def child(self, item):
-        """Successor carrying ``item``, or None."""
-        return self.children.get(item)
 
     def itemset(self) -> tuple:
         """Ascending itemset along the root path; the root has none."""
@@ -105,48 +106,6 @@ class Trie:
         self.nodes.append(self.root)
         return self
 
-    def add_child(self, node: TrieNode, item) -> TrieNode:
-        """Create the successor of ``node`` carrying ``item``."""
-        if item in node.children:
-            raise AssertionError(f"duplicate child {item} under node {node.node_id}")
-        child = TrieNode(item, node, len(self.nodes))
-        self.nodes.append(child)
-        node.children[item] = child
-        return child
-
     @property
     def node_count(self) -> int:
         return len(self.nodes)
-
-    def end_nodes(self):
-        """Nodes marking complete intersections, in creation order.
-
-        Only meaningful once every item of the shifted transaction has been
-        processed.
-        """
-        for n in self.nodes:
-            if n.parent is not None and n.refs > 0:
-                yield n
-
-    def dump(self) -> str:
-        """Debug trace: one line per node in pre-order.
-
-        Line format: ``depth item cpt max_supp min={ids} gen={ids}``.
-        """
-        lines = []
-
-        def fmt(recs):
-            if not recs:
-                return "{}"
-            return "{" + ",".join(str(r.id) for r in sorted(recs, key=lambda r: r.id)) + "}"
-
-        def visit(n):
-            item = "-" if n.parent is None else str(n.item)
-            lines.append(
-                f"{n.depth} {item} {n.refs} {n.top_supp} min={fmt(n.top)} gen={fmt(n.runners)}"
-            )
-            for c in n.children.values():
-                visit(c)
-
-        visit(self.root)
-        return "\n".join(lines)

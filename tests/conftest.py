@@ -1,4 +1,9 @@
-"""Shared fixtures: the worked example dataset, golden families, helpers."""
+"""Shared fixtures: the worked example dataset, golden families, helpers.
+
+The trie and index helpers here (child lookup, child creation, end nodes,
+the debug dump, list lengths) serve only the tests, so they live here
+rather than in the library.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +12,8 @@ import random
 import pytest
 
 from streamclose import MinerEngine, ShiftReport, StreamDriver, WindowConfig
-from streamclose.trie import DECREMENT, INCREMENT
+from streamclose.store import InvertedIndex
+from streamclose.trie import DECREMENT, INCREMENT, Trie, TrieNode
 
 # Ten-transaction worked example; tid n is TABLE1[n - 1].
 TABLE1 = [
@@ -71,6 +77,60 @@ def random_stream(rng: random.Random, alphabet: int, length: int,
             for _ in range(length)]
 
 
+def child(node, item):
+    """Successor of ``node`` carrying ``item``, or None."""
+    return node.children.get(item)
+
+
+def add_child(trie: Trie, node, item):
+    """Create the successor of ``node`` carrying ``item``."""
+    if item in node.children:
+        raise AssertionError(f"duplicate child {item} under node {node.node_id}")
+    n = TrieNode(item, node, len(trie.nodes))
+    trie.nodes.append(n)
+    if not node.children:
+        node.children = {}  # a leaf's first child: leave the shared empty dict be
+    node.children[item] = n
+    return n
+
+
+def end_nodes(trie: Trie):
+    """Nodes marking complete intersections, in creation order.
+
+    Only meaningful once every item of the shifted transaction is routed.
+    """
+    return [n for n in trie.nodes if n.parent is not None and n.refs > 0]
+
+
+def dump(trie: Trie) -> str:
+    """Debug trace: one line per node in pre-order.
+
+    Line format: ``depth item cpt max_supp min={ids} gen={ids}``.
+    """
+    lines = []
+
+    def fmt(recs):
+        if not recs:
+            return "{}"
+        return "{" + ",".join(str(r.id) for r in sorted(recs, key=lambda r: r.id)) + "}"
+
+    def visit(n):
+        item = "-" if n.parent is None else str(n.item)
+        lines.append(
+            f"{n.depth} {item} {n.refs} {n.top_supp} min={fmt(n.top)} gen={fmt(n.runners)}"
+        )
+        for c in n.children.values():
+            visit(c)
+
+    visit(trie.root)
+    return "\n".join(lines)
+
+
+def scan_length(index: InvertedIndex, item) -> int:
+    """Length of ``item``'s inverted list, 0 for an unseen item."""
+    return len(index.lists.get(item, ()))
+
+
 def expand_path(eng: MinerEngine, c, a) -> None:
     """Advance one CI's cursor along item ``a``: the per-entry reference form.
 
@@ -84,9 +144,9 @@ def expand_path(eng: MinerEngine, c, a) -> None:
     prev = c.cursor
     if prev.children is None:
         prev = trie.root
-    n = prev.child(a)
+    n = child(prev, a)
     if n is None:
-        n = trie.add_child(prev, a)
+        n = add_child(trie, prev, a)
     prev.refs -= 1
     n.refs += 1
     c.cursor = n

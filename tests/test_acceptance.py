@@ -15,7 +15,16 @@ import pytest
 
 from streamclose import MinerEngine, StreamDriver, WindowConfig, oracle
 from streamclose.store import materialize_itemset
-from conftest import TABLE1, TABLE2, TABLE3, ids_family, landmark_driver, token_family
+from conftest import (
+    TABLE1,
+    TABLE2,
+    TABLE3,
+    end_nodes,
+    ids_family,
+    landmark_driver,
+    scan_length,
+    token_family,
+)
 
 SEED = 0x51C10
 N_STREAMS = 1000
@@ -161,7 +170,7 @@ def audit_shift(eng, kind, t_items, db_before, db_after, fam_before,
     delta = {c & t for c in fam_before if c & t}
     delta.add(t)
     ends = {}
-    for n in eng.trie.end_nodes():
+    for n in end_nodes(eng.trie):
         ends[frozenset(n.itemset())] = n
     if set(ends) != delta:
         tally.property_violations.append(f"{where}: end nodes != work set")
@@ -232,7 +241,7 @@ def fuzz() -> FuzzTally:
                 db_before = {j: frozenset(x) for j, x in window}
                 db_before[otid] = frozenset(oitems)
                 l_m = eng.store.live_count
-                pre = len(oitems) + sum(eng.index.scan_length(a) for a in oitems)
+                pre = len(oitems) + sum(scan_length(eng.index, a) for a in oitems)
                 rep = eng.shift_remove(otid, oitems)
                 tally.shifts += 1
                 db_after = {j: frozenset(x) for j, x in window}
@@ -241,7 +250,7 @@ def fuzz() -> FuzzTally:
                     rep, k_m, l_m, pre, tally, f"s{s}/t{tid}/rm")
             db_before = {j: frozenset(x) for j, x in window}
             l_m = eng.store.live_count
-            pre = len(items) + sum(eng.index.scan_length(a) for a in items)
+            pre = len(items) + sum(scan_length(eng.index, a) for a in items)
             rep = eng.shift_add(tid, items)
             tally.shifts += 1
             window.append((tid, items))

@@ -12,10 +12,14 @@ from conftest import (
     TABLE1,
     TABLE2,
     TABLE3,
+    add_child,
+    child,
+    dump,
     expand_path,
     ids_family,
     landmark_driver,
     random_stream,
+    scan_length,
     step_shift,
     token_family,
     update_gen_dec,
@@ -125,14 +129,13 @@ def test_remove_second_transaction_golden(table2_driver):
     # trace detail at the cf end node: its own record (support 2) on top,
     # the cdfgh record (support 1) as the certifying runner-up
     d = driver.dictionary
-    node_cf = eng.trie.root.child(d.intern("c")).child(d.intern("f"))
+    node_cf = child(child(eng.trie.root, d.intern("c")), d.intern("f"))
     assert node_cf.refs > 0
     assert [r.support for r in node_cf.top] == [2]
     certifiers = [r for r in node_cf.runners if r.cursor is node_cf]
     assert len(certifiers) == 1 and certifiers[0].support == 1
     assert certifiers[0].size == 5  # cdfgh
-    dump = eng.trie.dump()
-    assert f"min={{{node_cf.top[0].id}}} gen={{{certifiers[0].id}}}" in dump
+    assert f"min={{{node_cf.top[0].id}}} gen={{{certifiers[0].id}}}" in dump(eng.trie)
 
 
 def test_remove_unknown_tid_rejected():
@@ -233,8 +236,8 @@ def test_remove_duplicate_transaction_only_demotes():
 
 def abc_node(driver):
     d = driver.dictionary
-    return driver.engine.trie.root.child(d.intern("a")).child(
-        d.intern("b")).child(d.intern("c"))
+    node_a = child(driver.engine.trie.root, d.intern("a"))
+    return child(child(node_a, d.intern("b")), d.intern("c"))
 
 
 def test_stale_runner_entry_does_not_certify(table2_driver):
@@ -321,10 +324,10 @@ def test_expand_path_walks_bc(table3_driver):
         for rec in list(eng.index.lists.get(a, ())):
             expand_path(eng, rec, a)
         if a == b:
-            node_b = eng.trie.root.child(b)
+            node_b = child(eng.trie.root, b)
             assert bc.cursor is node_b
             refs_after_b = node_b.refs
-    node_bc = node_b.child(c)
+    node_bc = child(node_b, c)
     assert bc.cursor is node_bc
     assert node_b.refs < refs_after_b  # departures decremented the counter
 
@@ -369,7 +372,7 @@ def test_new_record_cursor_is_detached():
 def test_update_gen_inc_cases():
     eng = MinerEngine()
     trie = eng.trie.reset(INCREMENT)
-    n = trie.add_child(trie.root, 9)
+    n = add_child(trie, trie.root, 9)
     c1 = CIRecord(1, 3, 2)
     update_gen_inc(c1, n)
     assert n.top == [c1] and n.top_supp == 3
@@ -386,7 +389,7 @@ def test_update_gen_inc_tracks_class_closure(table3_driver):
     eng = driver.engine
     d = driver.dictionary
     driver.push(TABLE1[9])
-    node_h = eng.trie.root.child(d.intern("h"))
+    node_h = child(eng.trie.root, d.intern("h"))
     top = node_h.top[0]
     # the class closure of {h} before the shift was fh at support 4, and fh
     # is not contained in bcgh, so its support is untouched
@@ -398,7 +401,7 @@ def test_update_gen_inc_tracks_class_closure(table3_driver):
 def test_update_gen_dec_four_cases():
     eng = MinerEngine()
     trie = eng.trie.reset(DECREMENT)
-    n = trie.add_child(trie.root, 9)
+    n = add_child(trie, trie.root, 9)
     c_first = CIRecord(1, 2, 2)
     update_gen_dec(c_first, n)  # sentinel forces the flush branch
     assert n.top == [c_first] and n.runners == [] and n.top_supp == 2
@@ -425,10 +428,10 @@ def test_update_cis_inc_examples(table3_driver):
     d = driver.dictionary
     _, report = driver.push(TABLE1[9])
     trie = eng.trie
-    node_bc = trie.root.child(d.intern("b")).child(d.intern("c"))
+    node_bc = child(child(trie.root, d.intern("b")), d.intern("c"))
     assert node_bc.depth == node_bc.top[0].size == 2  # promoted
     assert node_bc.top[0].support == 5
-    node_h = trie.root.child(d.intern("h"))
+    node_h = child(trie.root, d.intern("h"))
     assert node_h.depth == 1 and node_h.top[0].size == 2  # new from fh
     new_from_h = next(supp for _, items, supp in report.new_cis
                       if tokens_of(driver, items) == ("h",))
@@ -487,13 +490,31 @@ def test_sliding_routing_work_is_pinned():
     assert ids_family(driver.engine) == oracle.closed_itemsets(window_db(driver.buffer))
 
 
+def test_stored_itemsets_match_the_referee_after_evictions():
+    # every live record's own itemset must be a closure of the window with
+    # the record's support, through a stream that makes CIs obsolete
+    driver = StreamDriver(WindowConfig(capacity=20, mode="sliding"))
+    obsolete = 0
+    for items in random_stream(random.Random(4242), 12, 250, max_len=7):
+        for rep in driver.push_ids(items):
+            if rep is not None:
+                obsolete += len(rep.obsolete)
+    assert obsolete > 0
+    db = window_db(driver.buffer)
+    live = [rec for cid, rec in driver.engine.store.records.items() if cid != 0]
+    for rec in live:
+        assert oracle.closure(db, rec.itemset) == frozenset(rec.itemset)
+        assert rec.support == len(oracle.support_tids(db, rec.itemset))
+    assert {frozenset(rec.itemset) for rec in live} == set(oracle.closed_itemsets(db))
+
+
 def test_report_counters_match_list_lengths(table3_driver):
     driver = table3_driver
     eng = driver.engine
     d = driver.dictionary
     expected = len(TABLE1[9])  # one bootstrap entry per item
     for t in set(TABLE1[9]):
-        expected += eng.index.scan_length(d.intern(t))
+        expected += scan_length(eng.index, d.intern(t))
     _, report = driver.push(TABLE1[9])
     assert report.entries_scanned == expected
     assert report.nodes_created == 11

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from streamclose import MinerEngine, StreamDriver, WindowConfig, oracle
 from streamclose.store import materialize_itemset
-from conftest import ids_family, window_db
+from conftest import end_nodes, ids_family, scan_length, window_db
 
 transactions = st.lists(
     st.frozensets(st.integers(0, 9), min_size=1, max_size=6),
@@ -86,7 +86,7 @@ def test_end_nodes_spell_the_work_set(stream, t_new):
         eng.shift_add(tid, tuple(sorted(t)))
     db = {tid: t for tid, t in enumerate(stream)}
     eng.shift_add(10_000, tuple(sorted(t_new)))
-    got = {frozenset(n.itemset()) for n in eng.trie.end_nodes()}
+    got = {frozenset(n.itemset()) for n in end_nodes(eng.trie)}
     assert got == oracle.intersections(db, t_new)
     # non-root counters never end negative, sum to the routed CI count, and
     # every path stays inside the shifted transaction
@@ -109,7 +109,7 @@ def test_end_node_top_is_the_class_closure(stream, t_new):
         eng.shift_add(tid, tuple(sorted(t)))
     db = {tid: t for tid, t in enumerate(stream)}
     eng.shift_add(10_000, tuple(sorted(t_new)))
-    for n in eng.trie.end_nodes():
+    for n in end_nodes(eng.trie):
         path = frozenset(n.itemset())
         top = n.top[0]
         if not oracle.support_tids(db, path):
@@ -134,16 +134,16 @@ def test_work_bound_and_entry_formula():
             k_m = max(k_m, len(items))
             l_m = eng.store.live_count
             expected_entries = len(items) + sum(
-                eng.index.scan_length(a) for a in items)
+                scan_length(eng.index, a) for a in items)
             if len(driver.buffer) >= capacity:
                 otid, oitems = driver.buffer.popleft()
-                exp_rm = len(oitems) + sum(eng.index.scan_length(a) for a in oitems)
+                exp_rm = len(oitems) + sum(scan_length(eng.index, a) for a in oitems)
                 rep = eng.shift_remove(otid, oitems)
                 assert rep.entries_scanned == exp_rm
                 assert rep.nodes_created <= rep.entries_scanned + 1
                 l_m = eng.store.live_count
                 expected_entries = len(items) + sum(
-                    eng.index.scan_length(a) for a in items)
+                    scan_length(eng.index, a) for a in items)
             rep = driver.engine.shift_add(driver.next_tid, items)
             driver.buffer.append((driver.next_tid, items))
             driver.next_tid += 1

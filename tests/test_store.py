@@ -69,7 +69,7 @@ def build_table2_state():
     store, index = CIStore(), InvertedIndex()
     for text, supp in rows:
         items = tuple(d.intern(t) for t in text)
-        rec = store.new_ci(supp, len(items))
+        rec = store.new_ci(supp, items)
         index.add(rec, items)
     return store, index, d
 
@@ -124,12 +124,12 @@ def test_materialize_after_removal_is_lookup_error():
 
 def test_index_removal_leaves_other_records():
     store, index = CIStore(), InvertedIndex()
-    a = store.new_ci(1, 2)
-    b = store.new_ci(2, 2)
-    c = store.new_ci(1, 2)
-    index.add(a, (0, 1))
-    index.add(b, (0, 2))
-    index.add(c, (0, 1))
+    a = store.new_ci(1, (0, 1))
+    b = store.new_ci(2, (0, 2))
+    c = store.new_ci(1, (0, 1))
+    index.add(a, a.itemset)
+    index.add(b, b.itemset)
+    index.add(c, c.itemset)
     assert index.entry_count == 6
     index.remove(a, (0, 1))
     assert set(index.lists[0]) == {b, c}
@@ -180,3 +180,53 @@ def test_store_invariants_catch_drift():
     store.records[16].size = 3  # lie about bc's size
     with pytest.raises(AssertionError):
         check_store_invariants(store, index)
+
+
+def test_materialize_returns_the_stored_tuple():
+    store, index, _ = build_table2_state()
+    rec = store.records[16]
+    assert materialize_itemset(store, index, 16) is rec.itemset
+
+
+def test_materialize_catches_a_record_missing_from_a_list():
+    store, index, _ = build_table2_state()
+    rec = store.records[16]
+    del index.lists[rec.itemset[0]][rec]
+    with pytest.raises(AssertionError):
+        materialize_itemset(store, index, 16)
+
+
+def test_store_invariants_catch_a_missing_list_entry():
+    store, index, _ = build_table2_state()
+    rec = store.records[16]
+    del index.lists[rec.itemset[-1]][rec]
+    index.entry_count -= 1
+    rec.size -= 1  # keep every count consistent: only membership is wrong
+    with pytest.raises(AssertionError, match="stored itemset"):
+        check_store_invariants(store, index)
+
+
+def test_store_invariants_catch_an_extra_list_entry():
+    store, index, d = build_table2_state()
+    rec = store.records[16]  # bc
+    index.lists[d.intern("a")][rec] = None
+    index.entry_count += 1
+    rec.size += 1
+    with pytest.raises(AssertionError, match="stored itemset"):
+        check_store_invariants(store, index)
+
+
+def test_store_invariants_catch_an_altered_itemset():
+    store, index, d = build_table2_state()
+    rec = store.records[16]  # bc
+    rec.itemset = (d.intern("b"), d.intern("d"))
+    with pytest.raises(AssertionError, match="stored itemset"):
+        check_store_invariants(store, index)
+
+
+def test_snapshot_reads_the_records_alone():
+    store, index, d = build_table2_state()
+    index.lists.clear()  # emission must not need the lists
+    rows = snapshot(store, index, 5)
+    assert [("".join(d.token(a) for a in items), s) for items, s in rows] == [
+        ("bc", 5), ("c", 6), ("d", 5), ("f", 5), ("g", 5), ("h", 5)]

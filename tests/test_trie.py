@@ -6,8 +6,8 @@ import random
 import pytest
 
 from streamclose import StreamDriver, WindowConfig, oracle
-from streamclose.trie import DECREMENT, INCREMENT, SUPPORT_FLOOR, Trie
-from conftest import TABLE1, landmark_driver, random_stream
+from streamclose.trie import DECREMENT, INCREMENT, NO_CHILDREN, SUPPORT_FLOOR, Trie
+from conftest import TABLE1, add_child, child, dump, end_nodes, landmark_driver, random_stream
 
 D19 = {n + 1: frozenset(t) for n, t in enumerate(TABLE1[:9])}
 
@@ -15,15 +15,15 @@ D19 = {n + 1: frozenset(t) for n, t in enumerate(TABLE1[:9])}
 def test_fresh_trie_has_only_root():
     t = Trie(INCREMENT)
     assert t.node_count == 1
-    assert list(t.end_nodes()) == []
+    assert end_nodes(t) == []
     assert t.root.depth == 0 and t.root.parent is None
 
 
 def test_reset_drops_every_node():
     t = Trie(INCREMENT)
     old_root = t.root
-    n = t.add_child(t.root, 3)
-    t.add_child(n, 5)
+    n = add_child(t, t.root, 3)
+    add_child(t, n, 5)
     t.reset(DECREMENT)
     assert t.node_count == 1
     assert t.root is not old_root
@@ -45,6 +45,20 @@ def test_finished_tries_need_no_cyclic_collection():
         gc.enable()
 
 
+def test_leaves_share_the_empty_children_dict():
+    # a leaf keeps the shared dict until its first child replaces it, so
+    # routing must never write into the shared one
+    driver = StreamDriver(WindowConfig(capacity=30, mode="sliding"))
+    leaves = 0
+    for items in random_stream(random.Random(2025), 14, 400, max_len=9):
+        driver.push_ids(items)
+        for n in driver.engine.trie.nodes:
+            assert n.children or n.children is NO_CHILDREN
+            leaves += n.children is NO_CHILDREN
+    assert NO_CHILDREN == {}
+    assert leaves > 0
+
+
 def test_reset_rejects_unknown_mode():
     with pytest.raises(ValueError):
         Trie("sideways")
@@ -52,31 +66,31 @@ def test_reset_rejects_unknown_mode():
 
 def test_child_lookup_roundtrip():
     t = Trie(INCREMENT)
-    assert t.root.child(6) is None
-    n = t.add_child(t.root, 1)
-    assert t.root.child(1) is n
+    assert child(t.root, 6) is None
+    n = add_child(t, t.root, 1)
+    assert child(t.root, 1) is n
     assert n.depth == 1 and n.refs == 0
     assert n.top is None and n.top_supp == SUPPORT_FLOOR
 
 
 def test_duplicate_child_is_invariant_violation():
     t = Trie(INCREMENT)
-    t.add_child(t.root, 1)
+    add_child(t, t.root, 1)
     with pytest.raises(AssertionError):
-        t.add_child(t.root, 1)
+        add_child(t, t.root, 1)
 
 
 def test_two_children_both_addressable():
     t = Trie(INCREMENT)
-    b = t.add_child(t.root, 1)
-    c = t.add_child(t.root, 2)
-    assert t.root.child(1) is b and t.root.child(2) is c
+    b = add_child(t, t.root, 1)
+    c = add_child(t, t.root, 2)
+    assert child(t.root, 1) is b and child(t.root, 2) is c
 
 
 def test_itemset_along_path():
     t = Trie(INCREMENT)
-    b = t.add_child(t.root, 1)
-    c = t.add_child(b, 2)
+    b = add_child(t, t.root, 1)
+    c = add_child(t, b, 2)
     assert c.itemset() == (1, 2)
     assert b.itemset() == (1,)
     with pytest.raises(ValueError):
@@ -96,7 +110,7 @@ def test_golden_trie_after_tenth_transaction():
         for k in range(1, len(seq) + 1):
             prefixes.add(tuple(seq[:k]))
     assert trie.node_count == len(prefixes) + 1 == 11
-    ends = list(trie.end_nodes())
+    ends = end_nodes(trie)
     assert len(ends) == len(delta) == 7
     got = {tuple(d.token(a) for a in n.itemset()) for n in ends}
     assert got == {tuple(x) for x in ("bcgh", "cgh", "bc", "gh", "c", "g", "h")}
@@ -107,12 +121,12 @@ def test_golden_bc_path_lookup():
     driver = landmark_driver(TABLE1)
     trie = driver.engine.trie
     d = driver.dictionary
-    node_b = trie.root.child(d.intern("b"))
-    node_bc = node_b.child(d.intern("c"))
+    node_b = child(trie.root, d.intern("b"))
+    node_bc = child(node_b, d.intern("c"))
     assert node_bc.depth == 2
     assert tuple(d.token(a) for a in node_bc.itemset()) == ("b", "c")
     # deepest end node spells the whole transaction
-    deepest = max(trie.end_nodes(), key=lambda n: n.depth)
+    deepest = max(end_nodes(trie), key=lambda n: n.depth)
     assert tuple(d.token(a) for a in deepest.itemset()) == tuple("bcgh")
     assert deepest.depth == 4
 
@@ -125,13 +139,13 @@ def test_end_nodes_after_second_removal():
     tid2, items2 = driver.buffer.popleft()
     eng.shift_remove(tid2, items2)
     d = driver.dictionary
-    got = {"".join(d.token(a) for a in n.itemset()) for n in eng.trie.end_nodes()}
+    got = {"".join(d.token(a) for a in n.itemset()) for n in end_nodes(eng.trie)}
     assert got == {"abc", "cf", "ef", "bc", "c", "abcef", "f"}
 
 
 def test_dump_shape():
     driver = landmark_driver(TABLE1[:2])
-    lines = driver.engine.trie.dump().splitlines()
+    lines = dump(driver.engine.trie).splitlines()
     assert lines[0].startswith("0 - ")
     assert len(lines) == driver.engine.trie.node_count
     for line in lines:
