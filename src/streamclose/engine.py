@@ -9,17 +9,20 @@ phases:
      record (id 0) is an implicit member of every list and walks the whole
      itemset, which guarantees the full itemset of t always ends on a node
      of its own.  One loop serves both shift kinds and only moves cursors;
-     each node's summary (refs, top, runners) is then settled in one pass
-     over the routed CIs from the node each one ends on.
-  2. Categorization.  Nodes that CIs end on (refs > 0) are exactly the
-     complete intersections, and a node's top is its class closure, which
-     always ends on it.  On addition, a top whose size is the node's depth
-     marks a promotion, anything else a creation.  On removal, a CI ending
-     on the node one support unit below the top certifies the node's CI
-     obsolete; otherwise it is merely demoted.
+     one settle loop over the routed CIs then gives the node each one ends
+     on its top CI, the top's support and the next-best support there.
+  2. Categorization.  Nodes that CIs end on (a top is set) are exactly the
+     complete intersections, and a node's top is its class closure, the
+     strict unique maximum among the CIs ending there.  On addition, a top
+     whose size is the node's depth marks a promotion, anything else a
+     creation.  On removal, a next-best support one unit below the top
+     certifies the node's CI obsolete; otherwise it is merely demoted.
   3. Store update.  Created CIs enter the inverted lists of their items
      and keep their itemset on their record; obsolete ones leave the store
      and every list their record names.
+
+The lemmas behind phases 1 and 2 are written out, with the tests that
+check them, in docs/algorithm.md.
 
 Inverted lists are only read during routing and only written during phase 3,
 so the scan never iterates a list it is mutating.  An exception escaping a
@@ -33,7 +36,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 
 from .store import CIRecord, CIStore, InvertedIndex, check_store_invariants, snapshot
-from .trie import DECREMENT, INCREMENT, Trie, TrieNode
+from .trie import Trie, TrieNode
 
 
 @dataclass
@@ -72,9 +75,9 @@ class MinerEngine:
     shift, ``snapshot`` and ``closure_record`` raise RuntimeError.
     """
 
-    def __init__(self, store: CIStore | None = None, index: InvertedIndex | None = None):
-        self.store = store if store is not None else CIStore()
-        self.index = index if index is not None else InvertedIndex()
+    def __init__(self):
+        self.store = CIStore()
+        self.index = InvertedIndex()
         self.trie = Trie()
         self.window_tids: set = set()
         self.failure: BaseException | None = None
@@ -107,7 +110,7 @@ class MinerEngine:
             self.window_tids.add(tid)
             if not items:
                 return ShiftReport("add", tid)
-            return self.update_cis_inc(tid, self._route(order, INCREMENT))
+            return self.update_cis_inc(tid, self._route(order))
         except BaseException as e:
             self.failure = e
             raise
@@ -127,31 +130,29 @@ class MinerEngine:
             self.window_tids.discard(tid)
             if not items:
                 return ShiftReport("remove", tid)
-            return self.update_cis_dec(tid, self._route(order, DECREMENT))
+            return self.update_cis_dec(tid, self._route(order))
         except BaseException as e:
             self.failure = e
             raise
 
-    def _route(self, order, mode: str) -> int:
-        """Phase 1: build this shift's trie and settle its node summaries.
+    def _route(self, order) -> int:
+        """Phase 1: build this shift's trie and settle its end nodes.
 
         Returns the number of (item, CI) entries scanned, bootstrap record
-        included.  The per-entry loop only advances cursors; ``refs``,
-        ``top``/``top_supp`` and ``runners`` are filled afterwards from the
-        node each routed CI ends on, bootstrap record first.
+        included.  The per-entry loop only advances cursors; ``top``,
+        ``top_supp`` and ``next_supp`` are filled afterwards from the node
+        each routed CI ends on, bootstrap record first.
         """
-        self.store.advance_shift()
         trie = self.trie
-        trie.reset(mode)
+        trie.reset()
         root = trie.root
-        nodes = trie.nodes
-        nodes_append = nodes.append
+        nodes_append = trie.nodes.append
 
         # The bootstrap record is an implicit head of every inverted list;
         # walking it up front creates the full-itemset path, all fresh nodes.
         prev = root
         for a in order:
-            n = TrieNode(a, prev, len(nodes))
+            n = TrieNode(a, prev)
             nodes_append(n)
             prev.children = {a: n}
             prev = n
@@ -177,7 +178,7 @@ class MinerEngine:
                     routed_append(c)
                 n = ch.get(a)
                 if n is None:
-                    n = TrieNode(a, prev, len(nodes))
+                    n = TrieNode(a, prev)
                     nodes_append(n)
                     if ch:
                         ch[a] = n
@@ -187,37 +188,17 @@ class MinerEngine:
                 c.cursor = n
 
         # An end node's class closure ends on it and out-supports every other
-        # CI passing through it, so settling from the CIs that end on a node
-        # gives the top and the certifying runner-ups the categorization
-        # needs; nodes no CI ends on keep refs 0 and no summary.
-        if mode == INCREMENT:
-            for c in routed:
-                n = c.cursor
-                n.refs += 1
-                s = c.support
-                if s > n.top_supp:
-                    n.top_supp = s
-                    n.top = [c]
-        else:
-            # top and runners by support gap: two or more above the running
-            # maximum flushes both sets, one above demotes the old top to the
-            # runners, a tie joins the top, one below joins the runners
-            for c in routed:
-                n = c.cursor
-                n.refs += 1
-                d = c.support - n.top_supp
-                if d >= 2:
-                    n.top = [c]
-                    n.top_supp = c.support
-                    n.runners = []
-                elif d == 1:
-                    n.runners = n.top
-                    n.top = [c]
-                    n.top_supp = c.support
-                elif d == 0:
-                    n.top.append(c)
-                elif d == -1:
-                    n.runners.append(c)
+        # CI ending there (docs/algorithm.md, lemma 2), so the top and the
+        # next-best support are all the categorization needs.
+        for c in routed:
+            n = c.cursor
+            s = c.support
+            if s > n.top_supp:
+                n.next_supp = n.top_supp
+                n.top_supp = s
+                n.top = c
+            elif s > n.next_supp:
+                n.next_supp = s
         return entries
 
     # ------------------------------------------------------------------
@@ -234,9 +215,9 @@ class MinerEngine:
         new_cis = report.new_cis
         promoted = report.promoted
         for n in nodes:
-            if n.refs <= 0 or n.parent is None:
+            c = n.top
+            if c is None:
                 continue
-            c = n.top[0]
             if n.depth == c.size:
                 c.support += 1
                 promoted.append(c.id)
@@ -250,32 +231,25 @@ class MinerEngine:
     def update_cis_dec(self, tid, entries_scanned: int = 0) -> ShiftReport:
         """Phase 2+3 of a removal over the engine's final trie.
 
-        A runner-up resting on the end node, that is a CI ending there one
-        support unit below the lone top, certifies the node's CI obsolete;
-        otherwise the top is demoted.  Routing settles a node from the CIs
-        ending on it, so the cursor test passes on the first runner; it
-        keeps the rule exact for summaries kept per list entry, where a
-        runner may have moved deeper.
+        Another CI ending on the end node one support unit below its lone
+        top certifies the node's CI obsolete; otherwise the top is demoted.
         """
         report = ShiftReport("remove", tid, nodes_created=len(self.trie.nodes),
                              entries_scanned=entries_scanned)
         obsolete = report.obsolete
         demoted = report.demoted
         for n in self.trie.nodes:
-            if n.refs <= 0 or n.parent is None:
+            x = n.top
+            if x is None:
                 continue
-            if n.top is None or len(n.top) != 1:
+            if n.next_supp >= n.top_supp:
                 raise AssertionError(
-                    f"end node {n.node_id}: expected a lone top CI, found "
-                    f"{0 if n.top is None else len(n.top)}"
-                )
-            x = n.top[0]
+                    f"end node {n.itemset()}: expected a lone top CI, but another "
+                    f"CI ending there has support {n.next_supp} >= {n.top_supp}")
             if x.id == 0:
                 raise AssertionError("bootstrap record surfaced as an end-node top")
-            for g in n.runners:
-                if g.cursor is n:
-                    obsolete.append((x.id, self.remove_ci(n, x)))
-                    break
+            if n.next_supp == n.top_supp - 1:
+                obsolete.append((x.id, self.remove_ci(n, x)))
             else:
                 x.support -= 1
                 demoted.append(x.id)

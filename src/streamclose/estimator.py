@@ -54,7 +54,8 @@ class ClosedItemsetStreamMiner:
     ----------
     window_size : int or None, default=None
         Sliding-window capacity.  Required when ``mode="sliding"``; ignored
-        in landmark mode.
+        in landmark mode.  Anything but an ``int`` or None (a ``bool``, a
+        float, a string) makes ``fit`` raise TypeError.
     mode : {"landmark", "sliding"}, default="landmark"
         Landmark keeps every transaction ever seen; sliding evicts the
         oldest once the window is full.

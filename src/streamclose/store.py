@@ -91,7 +91,7 @@ class CIRecord:
 
 
 class CIStore:
-    """Owns the live CI records, the id counter and the shift counter.
+    """Owns the live CI records and the id counter.
 
     Ids of removed CIs are never reused within a run.
     """
@@ -100,11 +100,6 @@ class CIStore:
         self.universe = CIRecord(0, 0, INFINITE_SIZE)
         self.records: dict[int, CIRecord] = {0: self.universe}
         self.next_id = 1
-        self.shift = 0
-
-    def advance_shift(self) -> int:
-        self.shift += 1
-        return self.shift
 
     def new_ci(self, support: int, itemset: tuple) -> CIRecord:
         """Create a live record for the ascending ``itemset``."""

@@ -25,8 +25,9 @@ LANDMARK = "landmark"
 class WindowConfig:
     """Replay parameters.
 
-    ``capacity`` is the sliding-window size and is ignored in landmark mode;
-    ``min_supp`` filters emission only, never maintenance.
+    ``capacity`` is the sliding-window size, an ``int`` (``bool`` is not
+    one) or None, and is ignored in landmark mode; ``min_supp`` filters
+    emission only, never maintenance.
     """
 
     capacity: int | None = None
@@ -34,6 +35,10 @@ class WindowConfig:
     min_supp: int = 1
 
     def __post_init__(self):
+        if self.capacity is not None and (
+                isinstance(self.capacity, bool) or not isinstance(self.capacity, int)):
+            raise TypeError(
+                f"capacity must be an int or None, got {self.capacity!r}")
         if self.mode not in (SLIDING, LANDMARK):
             raise ValueError(f"unknown window mode {self.mode!r}")
         if self.mode == SLIDING:

@@ -1,19 +1,20 @@
 """Shared fixtures: the worked example dataset, golden families, helpers.
 
 The trie and index helpers here (child lookup, child creation, end nodes,
-the debug dump, list lengths) serve only the tests, so they live here
-rather than in the library.
+the debug dump, list lengths) and the per-entry reference routing serve
+only the tests, so they live here rather than in the library.
 """
 
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 
 import pytest
 
 from streamclose import MinerEngine, ShiftReport, StreamDriver, WindowConfig
 from streamclose.store import InvertedIndex
-from streamclose.trie import DECREMENT, INCREMENT, Trie, TrieNode
+from streamclose.trie import SUPPORT_FLOOR, Trie, TrieNode
 
 # Ten-transaction worked example; tid n is TABLE1[n - 1].
 TABLE1 = [
@@ -85,8 +86,8 @@ def child(node, item):
 def add_child(trie: Trie, node, item):
     """Create the successor of ``node`` carrying ``item``."""
     if item in node.children:
-        raise AssertionError(f"duplicate child {item} under node {node.node_id}")
-    n = TrieNode(item, node, len(trie.nodes))
+        raise AssertionError(f"duplicate child {item} under a node at depth {node.depth}")
+    n = TrieNode(item, node)
     trie.nodes.append(n)
     if not node.children:
         node.children = {}  # a leaf's first child: leave the shared empty dict be
@@ -97,28 +98,24 @@ def add_child(trie: Trie, node, item):
 def end_nodes(trie: Trie):
     """Nodes marking complete intersections, in creation order.
 
-    Only meaningful once every item of the shifted transaction is routed.
+    Only meaningful once every item of the shifted transaction is routed
+    and the end nodes are settled.
     """
-    return [n for n in trie.nodes if n.parent is not None and n.refs > 0]
+    return [n for n in trie.nodes if n.top is not None]
 
 
 def dump(trie: Trie) -> str:
     """Debug trace: one line per node in pre-order.
 
-    Line format: ``depth item cpt max_supp min={ids} gen={ids}``.
+    Line format: ``depth item top={id} supp={top_supp} next={next_supp}``,
+    with ``top=-`` on a node no CI ends on.
     """
     lines = []
 
-    def fmt(recs):
-        if not recs:
-            return "{}"
-        return "{" + ",".join(str(r.id) for r in sorted(recs, key=lambda r: r.id)) + "}"
-
     def visit(n):
         item = "-" if n.parent is None else str(n.item)
-        lines.append(
-            f"{n.depth} {item} {n.refs} {n.top_supp} min={fmt(n.top)} gen={fmt(n.runners)}"
-        )
+        top = "-" if n.top is None else str(n.top.id)
+        lines.append(f"{n.depth} {item} top={top} supp={n.top_supp} next={n.next_supp}")
         for c in n.children.values():
             visit(c)
 
@@ -131,14 +128,33 @@ def scan_length(index: InvertedIndex, item) -> int:
     return len(index.lists.get(item, ()))
 
 
-def expand_path(eng: MinerEngine, c, a) -> None:
+class PassThrough:
+    """One node's bookkeeping in the per-entry reference form.
+
+    ``refs`` counts the cursors resting on the node; ``top`` lists the CIs
+    holding the highest support ``top_supp`` among those routed through it
+    (kept to one entry by replacement on addition), and on removal
+    ``runners`` lists those exactly one support unit below.
+    """
+
+    __slots__ = ("refs", "top", "top_supp", "runners")
+
+    def __init__(self):
+        self.refs = 0
+        self.top = None
+        self.top_supp = SUPPORT_FLOOR
+        self.runners = None
+
+
+def expand_path(eng: MinerEngine, table, c, a, kind: str) -> None:
     """Advance one CI's cursor along item ``a``: the per-entry reference form.
 
-    Unlike the engine's routing loop, which settles node summaries once per
-    CI from the node it ends on, this keeps the paper's passing-through
-    bookkeeping: ``refs`` counts cursors currently resting on a node, and
-    every node on the path updates its top/runners.  A stale cursor is
-    recognised the same way, by the severed node it points at.
+    Unlike the engine's routing loop, which settles each end node once per
+    CI from the CIs that end on it, this keeps the paper's passing-through
+    bookkeeping in ``table``, a ``defaultdict(PassThrough)`` keyed by node:
+    ``refs`` counts cursors currently resting on a node, and every node on
+    the path updates its top/runners.  A stale cursor is recognised the
+    same way, by the severed node it points at.
     """
     trie = eng.trie
     prev = c.cursor
@@ -147,50 +163,72 @@ def expand_path(eng: MinerEngine, c, a) -> None:
     n = child(prev, a)
     if n is None:
         n = add_child(trie, prev, a)
-    prev.refs -= 1
-    n.refs += 1
+    table[prev].refs -= 1
+    e = table[n]
+    e.refs += 1
     c.cursor = n
-    if trie.mode == INCREMENT:
-        update_gen_inc(c, n)
+    if kind == "add":
+        update_gen_inc(c, e)
     else:
-        update_gen_dec(c, n)
+        update_gen_dec(c, e)
 
 
-def update_gen_inc(c, n) -> None:
-    """Keep ``n.top`` on the best-supported CI routed through ``n``."""
-    if c.support > n.top_supp:
-        n.top_supp = c.support
-        n.top = [c]
+def update_gen_inc(c, e: PassThrough) -> None:
+    """Keep ``e.top`` on the best-supported CI routed through the node."""
+    if c.support > e.top_supp:
+        e.top_supp = c.support
+        e.top = [c]
 
 
-def update_gen_dec(c, n) -> None:
+def update_gen_dec(c, e: PassThrough) -> None:
     """Maintain top and runner-up CIs by support gap.
 
     Two or more above the running maximum flushes both sets; exactly one
     above shifts the old top into the runners; zero joins the top; minus
     one joins the runners; anything lower is ignored.
     """
-    d = c.support - n.top_supp
+    d = c.support - e.top_supp
     if d >= 2:
-        n.top = [c]
-        n.top_supp = c.support
-        n.runners = []
+        e.top = [c]
+        e.top_supp = c.support
+        e.runners = []
     elif d == 1:
-        n.runners = n.top
-        n.top = [c]
-        n.top_supp = c.support
+        e.runners = e.top
+        e.top = [c]
+        e.top_supp = c.support
     elif d == 0:
-        n.top.append(c)
+        e.top.append(c)
     elif d == -1:
-        n.runners.append(c)
+        e.runners.append(c)
 
 
-def step_shift(eng: MinerEngine, tid, items, kind: str) -> ShiftReport:
+def settle_from_table(table) -> None:
+    """Fill the node fields the engine's categorization reads.
+
+    An end node is one a cursor rests on.  Its next-best support is set one
+    below the top exactly when a runner passes the cursor test (it ends on
+    the node rather than passing through); a top list of more than one CI
+    makes the engine's lone-top check fire.
+    """
+    for n, e in table.items():
+        if n.parent is None or e.refs <= 0:
+            continue
+        n.top = e.top[0]
+        n.top_supp = e.top_supp
+        if len(e.top) != 1:
+            n.next_supp = e.top_supp
+        elif any(g.cursor is n for g in e.runners or ()):
+            n.next_supp = e.top_supp - 1
+
+
+def step_shift(eng: MinerEngine, tid, items, kind: str, table=None) -> ShiftReport:
     """Run one shift through the per-entry reference form.
 
     Routes every (item, CI) entry through expand_path, then categorizes with
     the engine's own update_cis_inc/update_cis_dec; pins the engine's
-    routing loop to the paper's per-entry semantics.
+    routing and settle loops to the paper's per-entry semantics.  Pass a
+    ``defaultdict(PassThrough)`` as ``table`` to inspect the bookkeeping
+    afterwards.
     """
     items = tuple(sorted(set(items)))
     if kind == "add":
@@ -203,15 +241,17 @@ def step_shift(eng: MinerEngine, tid, items, kind: str) -> ShiftReport:
         eng.window_tids.discard(tid)
     if not items:
         return ShiftReport(kind, tid)
-    eng.store.advance_shift()
-    eng.trie.reset(INCREMENT if kind == "add" else DECREMENT)
+    eng.trie.reset()
+    if table is None:
+        table = defaultdict(PassThrough)
     entries = 0
     for a in items:
-        expand_path(eng, eng.store.universe, a)
+        expand_path(eng, table, eng.store.universe, a, kind)
         entries += 1
         for rec in list(eng.index.lists.get(a, ())):
-            expand_path(eng, rec, a)
+            expand_path(eng, table, rec, a, kind)
             entries += 1
+    settle_from_table(table)
     if kind == "add":
         return eng.update_cis_inc(tid, entries)
     return eng.update_cis_dec(tid, entries)

@@ -15,6 +15,7 @@ import pytest
 
 from streamclose import MinerEngine, StreamDriver, WindowConfig, oracle
 from streamclose.store import materialize_itemset
+from streamclose.trie import SUPPORT_FLOOR
 from conftest import (
     TABLE1,
     TABLE2,
@@ -132,7 +133,10 @@ def family_and_ids(eng: MinerEngine):
 
 
 def audit_shift(eng, kind, t_items, db_before, db_after, fam_before,
-                by_id_before, report, k_m, l_m, pre_entries, tally, where):
+                by_id_before, recs_before, report, k_m, l_m, pre_entries,
+                tally, where):
+    """Audit one finished shift; ``recs_before`` lists the records live
+    before it, bootstrap included."""
     t = frozenset(t_items)
 
     # --- criterion 7: exact work accounting and the node-count bound
@@ -174,8 +178,18 @@ def audit_shift(eng, kind, t_items, db_before, db_after, fam_before,
         ends[frozenset(n.itemset())] = n
     if set(ends) != delta:
         tally.property_violations.append(f"{where}: end nodes != work set")
+    # the CIs routed this shift, grouped by the node each one ends on
+    enders: dict = {}
+    for rec in recs_before:
+        enders.setdefault(rec.cursor, []).append(rec)
+    if any(m.top is None for m in enders if m.children is not None):
+        tally.property_violations.append(f"{where}: a CI ends on a node with no top")
+
+    def supp_before(rec):
+        return 0 if rec.id == 0 else fam_before[by_id_before[rec.id]]
+
     for path, n in ends.items():
-        top = n.top[0]
+        top = n.top
         supported = any(path <= z for z in db_before.values())
         if top.id == 0:
             if supported:
@@ -186,25 +200,26 @@ def audit_shift(eng, kind, t_items, db_before, db_after, fam_before,
             if by_id_before.get(top.id) != want:
                 tally.property_violations.append(
                     f"{where}: top of {sorted(path)} is not the class closure")
-        if kind != "remove":
-            continue
-        runners = n.runners or []
-        passers = [g for g in runners if g.cursor is n]
-        if len(passers) > 1:
+        # the other CIs ending on n: none in the work set, at most one (on
+        # removal) one support unit below the path, and the best of their
+        # pre-shift supports is next_supp
+        top_supp = supp_before(top)
+        if top.cursor is not n or top_supp != n.top_supp:
             tally.property_violations.append(
-                f"{where}: {len(passers)} certifying runner-ups at {sorted(path)}")
-        for g in runners:
-            outside_work_set = (g.id == 0 or by_id_before[g.id] not in delta)
-            if (g.cursor is n) != outside_work_set:
-                tally.property_violations.append(
-                    f"{where}: runner cursor test misclassifies CI {g.id}")
-        if passers:
-            g = passers[0]
-            sigma_g = 0 if g.id == 0 else fam_before[by_id_before[g.id]]
-            if sigma_g != fam_before[path] - 1:
-                tally.property_violations.append(
-                    f"{where}: certifier support {sigma_g} vs path "
-                    f"{fam_before[path]}")
+                f"{where}: top of {sorted(path)} does not end there at its support")
+        others = [g for g in enders.get(n, ()) if g is not top]
+        if any(g.id != 0 and by_id_before[g.id] in delta for g in others):
+            tally.property_violations.append(
+                f"{where}: a work-set CI ends on {sorted(path)} under another top")
+        sigmas = [supp_before(g) for g in others]
+        if kind == "remove" and sigmas.count(top_supp - 1) > 1:
+            tally.property_violations.append(
+                f"{where}: {sigmas.count(top_supp - 1)} certifying runner-ups at "
+                f"{sorted(path)}")
+        if n.next_supp != max(sigmas, default=SUPPORT_FLOOR):
+            tally.property_violations.append(
+                f"{where}: next_supp {n.next_supp} at {sorted(path)} vs the "
+                f"other enders' best {max(sigmas, default=SUPPORT_FLOOR)}")
     if kind == "add":
         # every created CI takes its pre-shift closure's support plus one
         for _, items, supp in report.new_cis:
@@ -242,21 +257,23 @@ def fuzz() -> FuzzTally:
                 db_before[otid] = frozenset(oitems)
                 l_m = eng.store.live_count
                 pre = len(oitems) + sum(scan_length(eng.index, a) for a in oitems)
+                recs = list(eng.store.records.values())
                 rep = eng.shift_remove(otid, oitems)
                 tally.shifts += 1
                 db_after = {j: frozenset(x) for j, x in window}
                 fam, by_id = audit_shift(
-                    eng, "remove", oitems, db_before, db_after, fam, by_id,
+                    eng, "remove", oitems, db_before, db_after, fam, by_id, recs,
                     rep, k_m, l_m, pre, tally, f"s{s}/t{tid}/rm")
             db_before = {j: frozenset(x) for j, x in window}
             l_m = eng.store.live_count
             pre = len(items) + sum(scan_length(eng.index, a) for a in items)
+            recs = list(eng.store.records.values())
             rep = eng.shift_add(tid, items)
             tally.shifts += 1
             window.append((tid, items))
             db_after = {j: frozenset(x) for j, x in window}
             fam, by_id = audit_shift(
-                eng, "add", items, db_before, db_after, fam, by_id,
+                eng, "add", items, db_before, db_after, fam, by_id, recs,
                 rep, k_m, l_m, pre, tally, f"s{s}/t{tid}/add")
         tally.streams += 1
     return tally

@@ -2,16 +2,18 @@
 
 import itertools
 import random
+from collections import defaultdict
 
 import pytest
 
 from streamclose import MinerEngine, StreamDriver, WindowConfig, oracle
 from streamclose.store import CIRecord, materialize_itemset
-from streamclose.trie import DECREMENT, DETACHED, INCREMENT
+from streamclose.trie import DETACHED, SUPPORT_FLOOR
 from conftest import (
     TABLE1,
     TABLE2,
     TABLE3,
+    PassThrough,
     add_child,
     child,
     dump,
@@ -127,15 +129,14 @@ def test_remove_second_transaction_golden(table2_driver):
     assert demoted == {tuple("bc"), tuple("c")}
     assert ids_family(eng) == oracle.closed_itemsets(window_db(driver.buffer))
     # trace detail at the cf end node: its own record (support 2) on top,
-    # the cdfgh record (support 1) as the certifying runner-up
+    # the cdfgh record (support 1) as the certifying runner-up ending there
     d = driver.dictionary
     node_cf = child(child(eng.trie.root, d.intern("c")), d.intern("f"))
-    assert node_cf.refs > 0
-    assert [r.support for r in node_cf.top] == [2]
-    certifiers = [r for r in node_cf.runners if r.cursor is node_cf]
-    assert len(certifiers) == 1 and certifiers[0].support == 1
+    assert node_cf.top is not None and node_cf.top.support == node_cf.top_supp == 2
+    certifiers = [r for r in eng.store.records.values() if r.cursor is node_cf]
+    assert len(certifiers) == 1 and certifiers[0].support == node_cf.next_supp == 1
     assert certifiers[0].size == 5  # cdfgh
-    assert f"min={{{node_cf.top[0].id}}} gen={{{certifiers[0].id}}}" in dump(eng.trie)
+    assert f"top={node_cf.top.id} supp=2 next=1" in dump(eng.trie)
 
 
 def test_remove_unknown_tid_rejected():
@@ -147,9 +148,10 @@ def test_remove_unknown_tid_rejected():
 
 def test_add_rejected_order_leaves_state_unchanged():
     eng = MinerEngine()
+    root = eng.trie.root  # a shift that ran would have reset the trie
     with pytest.raises(ValueError):
         eng.shift_add(1, [1, 3], item_order=[1, 4])
-    assert eng.window_tids == set() and eng.store.shift == 0
+    assert eng.window_tids == set() and eng.trie.root is root
     assert ids_family(eng) == {}
     eng.shift_add(1, [1, 3], item_order=[3, 1])
     assert ids_family(eng) == {frozenset({1, 3}): 1}
@@ -163,9 +165,10 @@ def test_remove_rejected_order_leaves_state_unchanged():
     eng.shift_add(1, [1, 3])
     eng.shift_add(2, [1])
     before = ids_family(eng)
+    root = eng.trie.root  # a shift that ran would have reset the trie
     with pytest.raises(ValueError):
         eng.shift_remove(1, [1, 3], item_order=[1, 4])
-    assert eng.window_tids == {1, 2} and eng.store.shift == 2
+    assert eng.window_tids == {1, 2} and eng.trie.root is root
     assert ids_family(eng) == before
     eng.shift_remove(1, [1, 3], item_order=[3, 1])
     assert ids_family(eng) == {frozenset({1}): 1}
@@ -244,6 +247,7 @@ def test_stale_runner_entry_does_not_certify(table2_driver):
     # when the second transaction leaves, the abcef record passes through
     # the abc end node on its way deeper, so abc's removal must be
     # certified by abcd, which ends there one support unit below abc
+    table = defaultdict(PassThrough)
     shifted = []
     for driver, shift in ((table2_driver, None), (landmark_driver(TABLE1), step_shift)):
         eng = driver.engine
@@ -255,7 +259,7 @@ def test_stale_runner_entry_does_not_certify(table2_driver):
         if shift is None:
             report = eng.shift_remove(tid, items)
         else:
-            report = shift(eng, tid, items, "remove")
+            report = shift(eng, tid, items, "remove", table)
         node_abc = abc_node(driver)
         above_end = []                      # abcef ends deeper, below abc
         n = abcef_rec.cursor.parent
@@ -263,17 +267,17 @@ def test_stale_runner_entry_does_not_certify(table2_driver):
             above_end.append(n)
             n = n.parent
         assert any(n is node_abc for n in above_end)
-        certifier = next(r for r in node_abc.runners if r.cursor is node_abc)
-        assert certifier.size == 4             # abcd, support one below abc
+        enders = [r for r in eng.store.records.values() if r.cursor is node_abc]
+        assert [r.size for r in enders] == [4]  # abcd, support one below abc
+        assert enders[0].support == node_abc.next_supp == node_abc.top_supp - 1
         assert tuple("abc") in {tokens_of(driver, i) for _, i in report.obsolete}
         shifted.append((node_abc, abcef_rec))
-    # routing settles runners only from CIs ending on the node
-    node_abc, abcef_rec = shifted[0]
-    assert abcef_rec not in node_abc.runners
-    assert all(r.cursor is node_abc for r in node_abc.runners)
-    # the per-entry reference form leaves abcef behind, but it does not certify
+    # the per-entry reference form leaves abcef among abc's runners, but the
+    # cursor test keeps it from certifying
     node_abc, abcef_rec = shifted[1]
-    assert abcef_rec in node_abc.runners
+    runners = table[node_abc].runners
+    assert abcef_rec in runners and abcef_rec.cursor is not node_abc
+    assert [r.size for r in runners if r.cursor is node_abc] == [4]
 
 
 def test_remove_shrinks_inverted_lists(table2_driver):
@@ -317,19 +321,19 @@ def test_expand_path_walks_bc(table3_driver):
     bc = next(rec for cid, rec in eng.store.records.items()
               if cid != 0 and rec.size == 2
               and materialize_itemset(eng.store, eng.index, cid) == (b, c))
-    eng.store.advance_shift()
-    eng.trie.reset(INCREMENT)
+    eng.trie.reset()
+    table = defaultdict(PassThrough)
     for a in (b, c):
-        expand_path(eng, eng.store.universe, a)
+        expand_path(eng, table, eng.store.universe, a, "add")
         for rec in list(eng.index.lists.get(a, ())):
-            expand_path(eng, rec, a)
+            expand_path(eng, table, rec, a, "add")
         if a == b:
             node_b = child(eng.trie.root, b)
             assert bc.cursor is node_b
-            refs_after_b = node_b.refs
+            refs_after_b = table[node_b].refs
     node_bc = child(node_b, c)
     assert bc.cursor is node_bc
-    assert node_b.refs < refs_after_b  # departures decremented the counter
+    assert table[node_b].refs < refs_after_b  # departures decremented the counter
 
 
 def in_current_trie(eng, node) -> bool:
@@ -358,7 +362,7 @@ def test_bootstrap_record_walks_full_path(table3_driver):
     assert in_current_trie(eng, ci0.cursor)
     assert ci0.cursor.depth == 4
     assert tokens_of(driver, ci0.cursor.itemset()) == tuple("bcgh")
-    assert ci0.cursor.refs >= 1
+    assert ci0.cursor.top is not None  # t's full itemset is an end node
 
 
 def test_new_record_cursor_is_detached():
@@ -370,9 +374,7 @@ def test_new_record_cursor_is_detached():
 
 
 def test_update_gen_inc_cases():
-    eng = MinerEngine()
-    trie = eng.trie.reset(INCREMENT)
-    n = add_child(trie, trie.root, 9)
+    n = PassThrough()
     c1 = CIRecord(1, 3, 2)
     update_gen_inc(c1, n)
     assert n.top == [c1] and n.top_supp == 3
@@ -390,7 +392,7 @@ def test_update_gen_inc_tracks_class_closure(table3_driver):
     d = driver.dictionary
     driver.push(TABLE1[9])
     node_h = child(eng.trie.root, d.intern("h"))
-    top = node_h.top[0]
+    top = node_h.top
     # the class closure of {h} before the shift was fh at support 4, and fh
     # is not contained in bcgh, so its support is untouched
     assert top.support == 4
@@ -399,9 +401,7 @@ def test_update_gen_inc_tracks_class_closure(table3_driver):
 
 
 def test_update_gen_dec_four_cases():
-    eng = MinerEngine()
-    trie = eng.trie.reset(DECREMENT)
-    n = add_child(trie, trie.root, 9)
+    n = PassThrough()
     c_first = CIRecord(1, 2, 2)
     update_gen_dec(c_first, n)  # sentinel forces the flush branch
     assert n.top == [c_first] and n.runners == [] and n.top_supp == 2
@@ -422,6 +422,30 @@ def test_update_gen_dec_four_cases():
     assert n.top == [c_flush] and n.runners == [] and n.top_supp == 5
 
 
+@pytest.mark.parametrize("fault", ["tie", "bootstrap", "depth"])
+def test_removal_refuses_an_inconsistent_end_node(fault):
+    # the categorization's own consistency checks: a top tied by another CI
+    # ending on its node, the bootstrap record on top, and an obsolete CI
+    # whose node path is shorter than its itemset
+    eng = MinerEngine()
+    eng.shift_add(1, (0, 1))
+    rec = next(r for cid, r in eng.store.records.items() if cid != 0)
+    eng.trie.reset()
+    node_0 = add_child(eng.trie, eng.trie.root, 0)
+    n = add_child(eng.trie, node_0, 1)
+    n.top, n.top_supp = rec, rec.support
+    if fault == "tie":
+        n.next_supp, match = rec.support, "lone top"
+    elif fault == "bootstrap":
+        n.top, n.top_supp, match = eng.store.universe, 0, "bootstrap"
+    else:
+        n.top, n.top_supp = None, SUPPORT_FLOOR
+        node_0.top, node_0.top_supp, node_0.next_supp = rec, 1, 0
+        match = "path length"
+    with pytest.raises(AssertionError, match=match):
+        eng.update_cis_dec(1)
+
+
 def test_update_cis_inc_examples(table3_driver):
     driver = table3_driver
     eng = driver.engine
@@ -429,10 +453,10 @@ def test_update_cis_inc_examples(table3_driver):
     _, report = driver.push(TABLE1[9])
     trie = eng.trie
     node_bc = child(child(trie.root, d.intern("b")), d.intern("c"))
-    assert node_bc.depth == node_bc.top[0].size == 2  # promoted
-    assert node_bc.top[0].support == 5
+    assert node_bc.depth == node_bc.top.size == 2  # promoted
+    assert node_bc.top.support == 5
     node_h = child(trie.root, d.intern("h"))
-    assert node_h.depth == 1 and node_h.top[0].size == 2  # new from fh
+    assert node_h.depth == 1 and node_h.top.size == 2  # new from fh
     new_from_h = next(supp for _, items, supp in report.new_cis
                       if tokens_of(driver, items) == ("h",))
     assert new_from_h == 5

@@ -84,6 +84,14 @@ def test_sliding_without_window_size_fails_at_fit():
         miner.fit(TABLE1)
 
 
+@pytest.mark.parametrize("window_size", [2.5, True, "3"])
+def test_fit_rejects_a_window_size_that_is_not_an_int(window_size):
+    miner = ClosedItemsetStreamMiner(window_size=window_size, mode="sliding")
+    with pytest.raises(TypeError, match="capacity must be an int"):
+        miner.fit(TABLE1)
+    assert not hasattr(miner, "driver_")
+
+
 def test_update_returns_reports():
     miner = ClosedItemsetStreamMiner(window_size=1, mode="sliding")
     miner.fit([["a"]])

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from streamclose import MinerEngine, StreamDriver, WindowConfig, oracle
 from streamclose.store import materialize_itemset
+from streamclose.trie import SUPPORT_FLOOR
 from conftest import end_nodes, ids_family, scan_length, window_db
 
 transactions = st.lists(
@@ -88,17 +89,15 @@ def test_end_nodes_spell_the_work_set(stream, t_new):
     eng.shift_add(10_000, tuple(sorted(t_new)))
     got = {frozenset(n.itemset()) for n in end_nodes(eng.trie)}
     assert got == oracle.intersections(db, t_new)
-    # non-root counters never end negative, sum to the routed CI count, and
     # every path stays inside the shifted transaction
     non_root = [n for n in eng.trie.nodes if n.parent is not None]
-    assert all(n.refs >= 0 for n in non_root)
     assert all(frozenset(n.itemset()) <= t_new for n in non_root)
     # a CI was routed this shift exactly when its cursor is a node of the
-    # current trie
+    # current trie, and the nodes routed CIs end on are the end nodes
     in_trie = {id(n) for n in eng.trie.nodes}
-    routed = sum(1 for rec in eng.store.records.values()
-                 if id(rec.cursor) in in_trie)
-    assert sum(n.refs for n in non_root) == routed
+    routed_ends = {id(rec.cursor) for rec in eng.store.records.values()
+                   if id(rec.cursor) in in_trie}
+    assert routed_ends == {id(n) for n in end_nodes(eng.trie)}
 
 
 @given(transactions, st.frozensets(st.integers(0, 9), min_size=1, max_size=6))
@@ -111,13 +110,49 @@ def test_end_node_top_is_the_class_closure(stream, t_new):
     eng.shift_add(10_000, tuple(sorted(t_new)))
     for n in end_nodes(eng.trie):
         path = frozenset(n.itemset())
-        top = n.top[0]
+        top = n.top
         if not oracle.support_tids(db, path):
             assert top.id == 0  # only the bootstrap class reaches here
             continue
         assert top.id != 0
         got = frozenset(materialize_itemset(eng.store, eng.index, top.id))
         assert got == oracle.closure(db, path)
+
+
+@given(transactions, st.integers(1, 6))
+@settings(max_examples=60, deadline=None)
+def test_end_node_keeps_its_top_and_the_next_best_support(stream, capacity):
+    # for both shift kinds: at every end node the top ends there with
+    # top_supp, next_supp stays below it, and next_supp is the best
+    # pre-shift support among the other records ending there, bootstrap
+    # record included
+    eng = MinerEngine()
+    window = []
+    for tid, t in enumerate(stream):
+        shifts = []
+        if len(window) >= capacity:
+            shifts.append(("remove", *window.pop(0)))
+        items = tuple(sorted(t))
+        shifts.append(("add", tid, items))
+        window.append((tid, items))
+        for kind, stid, sitems in shifts:
+            before = [(rec, rec.support) for rec in eng.store.records.values()]
+            if kind == "add":
+                eng.shift_add(stid, sitems)
+            else:
+                eng.shift_remove(stid, sitems)
+            enders = {}
+            for rec, supp in before:
+                enders.setdefault(rec.cursor, []).append((rec, supp))
+            ends = end_nodes(eng.trie)
+            in_trie = {id(m) for m in eng.trie.nodes}
+            assert {id(n) for n in ends} == {id(n) for n in enders if id(n) in in_trie}
+            for n in ends:
+                tops = [supp for rec, supp in enders[n] if rec is n.top]
+                assert tops == [n.top_supp]
+                others = [supp for rec, supp in enders[n] if rec is not n.top]
+                assert n.next_supp < n.top_supp
+                assert n.next_supp == max(others, default=SUPPORT_FLOOR)
 
 
 def test_work_bound_and_entry_formula():

@@ -6,28 +6,28 @@ import random
 import pytest
 
 from streamclose import StreamDriver, WindowConfig, oracle
-from streamclose.trie import DECREMENT, INCREMENT, NO_CHILDREN, SUPPORT_FLOOR, Trie
+from streamclose.trie import NO_CHILDREN, SUPPORT_FLOOR, Trie
 from conftest import TABLE1, add_child, child, dump, end_nodes, landmark_driver, random_stream
 
 D19 = {n + 1: frozenset(t) for n, t in enumerate(TABLE1[:9])}
 
 
 def test_fresh_trie_has_only_root():
-    t = Trie(INCREMENT)
-    assert t.node_count == 1
+    t = Trie()
+    assert len(t.nodes) == 1
     assert end_nodes(t) == []
     assert t.root.depth == 0 and t.root.parent is None
 
 
 def test_reset_drops_every_node():
-    t = Trie(INCREMENT)
+    t = Trie()
     old_root = t.root
     n = add_child(t, t.root, 3)
     add_child(t, n, 5)
-    t.reset(DECREMENT)
-    assert t.node_count == 1
+    t.reset()
+    assert len(t.nodes) == 1
     assert t.root is not old_root
-    assert t.mode == DECREMENT
+    assert n.parent is None and n.children is None  # severed
 
 
 def test_finished_tries_need_no_cyclic_collection():
@@ -59,36 +59,31 @@ def test_leaves_share_the_empty_children_dict():
     assert leaves > 0
 
 
-def test_reset_rejects_unknown_mode():
-    with pytest.raises(ValueError):
-        Trie("sideways")
-
-
 def test_child_lookup_roundtrip():
-    t = Trie(INCREMENT)
+    t = Trie()
     assert child(t.root, 6) is None
     n = add_child(t, t.root, 1)
     assert child(t.root, 1) is n
-    assert n.depth == 1 and n.refs == 0
-    assert n.top is None and n.top_supp == SUPPORT_FLOOR
+    assert n.depth == 1
+    assert n.top is None and n.top_supp == n.next_supp == SUPPORT_FLOOR
 
 
 def test_duplicate_child_is_invariant_violation():
-    t = Trie(INCREMENT)
+    t = Trie()
     add_child(t, t.root, 1)
     with pytest.raises(AssertionError):
         add_child(t, t.root, 1)
 
 
 def test_two_children_both_addressable():
-    t = Trie(INCREMENT)
+    t = Trie()
     b = add_child(t, t.root, 1)
     c = add_child(t, t.root, 2)
     assert child(t.root, 1) is b and child(t.root, 2) is c
 
 
 def test_itemset_along_path():
-    t = Trie(INCREMENT)
+    t = Trie()
     b = add_child(t, t.root, 1)
     c = add_child(t, b, 2)
     assert c.itemset() == (1, 2)
@@ -109,7 +104,7 @@ def test_golden_trie_after_tenth_transaction():
         seq = sorted(x)
         for k in range(1, len(seq) + 1):
             prefixes.add(tuple(seq[:k]))
-    assert trie.node_count == len(prefixes) + 1 == 11
+    assert len(trie.nodes) == len(prefixes) + 1 == 11
     ends = end_nodes(trie)
     assert len(ends) == len(delta) == 7
     got = {tuple(d.token(a) for a in n.itemset()) for n in ends}
@@ -147,6 +142,6 @@ def test_dump_shape():
     driver = landmark_driver(TABLE1[:2])
     lines = dump(driver.engine.trie).splitlines()
     assert lines[0].startswith("0 - ")
-    assert len(lines) == driver.engine.trie.node_count
+    assert len(lines) == len(driver.engine.trie.nodes)
     for line in lines:
-        assert "min={" in line and "gen={" in line
+        assert " top=" in line and " supp=" in line and " next=" in line

@@ -20,6 +20,15 @@ def test_config_validation():
     WindowConfig(mode="landmark")              # capacity optional here
 
 
+@pytest.mark.parametrize("mode", ["sliding", "landmark"])
+@pytest.mark.parametrize("capacity", [2.5, 3.0, True, False, "3"])
+def test_config_rejects_a_capacity_that_is_not_an_int(capacity, mode):
+    # 2.5 used to keep 3 transactions, True kept 1, and "3" failed inside a
+    # comparison
+    with pytest.raises(TypeError, match="capacity must be an int"):
+        WindowConfig(capacity=capacity, mode=mode)
+
+
 def test_push_at_capacity_removes_then_adds():
     driver = StreamDriver(WindowConfig(capacity=9, mode="sliding"))
     for t in TABLE1[:9]:
