@@ -67,10 +67,12 @@ def _cmd_mine(args) -> int:
         sys.stderr.write("streamclose mine: error: --snapshot-every needs --emit-snapshot\n")
         return EXIT_USAGE
     try:
-        config = WindowConfig(capacity=args.window, mode=args.mode,
-                              min_supp=args.min_supp)
+        config = WindowConfig(capacity=args.window, mode=args.mode)
     except ValueError as e:
         sys.stderr.write(f"streamclose mine: error: {e}\n")
+        return EXIT_USAGE
+    if args.min_supp < 1:
+        sys.stderr.write("streamclose mine: error: min_supp must be at least 1\n")
         return EXIT_USAGE
 
     source = StreamSource(args.input)
@@ -78,14 +80,13 @@ def _cmd_mine(args) -> int:
     stats_file = open(args.stats, "w", encoding="utf-8", newline="") if args.stats else None
     try:
         writer = StatsWriter(stats_file) if stats_file else None
-        for rec in replay(source, config, driver=driver,
-                          snapshot_every=args.snapshot_every):
+        for rec in replay(source, driver):
             if writer:
                 writer.write(rec)
-            if rec.snapshot is not None:
+            if args.snapshot_every > 0 and rec.shift % args.snapshot_every == 0:
                 save_snapshot(f"{args.emit_snapshot}.{rec.shift:08d}",
-                              rec.snapshot, args.format)
-        final = driver.snapshot()
+                              driver.snapshot(args.min_supp), args.format)
+        final = driver.snapshot(args.min_supp)
         if args.emit_snapshot:
             save_snapshot(args.emit_snapshot, final, args.format)
         else:
@@ -111,37 +112,9 @@ def _diff_families(got: dict, want: dict, dictionary) -> str:
     return "\n".join(lines)
 
 
-def _verify_push(driver: StreamDriver, items, check) -> str | None:
-    """Push ``items`` half by half, calling ``check`` on each half's report.
-
-    Same sequencing as ``StreamDriver.push_ids``: the new tid is checked
-    before the eviction runs, the buffer drops its oldest entry only after
-    the engine accepted the eviction, and the tid counter advances only
-    after it accepted the addition.  Returns the first problem ``check``
-    reports, or None.
-    """
-    engine = driver.engine
-    window = driver.buffer
-    items = tuple(sorted(set(items)))
-    tid = driver.next_tid
-    if tid in engine.window_tids:
-        raise ValueError(f"tid {tid} is already in the window")
-    if len(window) >= driver.config.capacity:
-        old_tid, old_items = window[0]
-        rep = engine.shift_remove(old_tid, old_items)
-        window.popleft()
-        problem = check(rep)
-        if problem:
-            return problem
-    rep = engine.shift_add(tid, items)
-    driver.next_tid = tid + 1
-    window.append((tid, items))
-    return check(rep)
-
-
 def _cmd_verify(args) -> int:
     try:
-        config = WindowConfig(capacity=args.window, mode=SLIDING, min_supp=1)
+        config = WindowConfig(capacity=args.window, mode=SLIDING)
     except ValueError as e:
         sys.stderr.write(f"streamclose verify: error: {e}\n")
         return EXIT_USAGE
@@ -161,9 +134,16 @@ def _cmd_verify(args) -> int:
                     f"{_diff_families(got, want, driver.dictionary)}\n")
         return None
 
-    # step the engine directly so both halves of a push get checked
+    # evict first, so both halves of a push get checked; push_ids then finds
+    # room in the window and only adds
     for items in source:
-        problem = _verify_push(driver, items, check)
+        problem = None
+        removed = driver.evict()
+        if removed is not None:
+            problem = check(removed)
+        if problem is None:
+            _, added = driver.push_ids(items)
+            problem = check(added)
         if problem:
             sys.stderr.write(problem)
             return EXIT_DIVERGENCE

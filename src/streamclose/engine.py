@@ -276,7 +276,7 @@ class MinerEngine:
 
     def snapshot(self, min_supp: int = 1) -> list[tuple[tuple, int]]:
         self.check_usable()
-        return snapshot(self.store, self.index, min_supp)
+        return snapshot(self.store, min_supp)
 
     def closure_record(self, items) -> CIRecord | None:
         """Live CI record whose itemset is the closure of ``items``.

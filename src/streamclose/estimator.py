@@ -21,7 +21,8 @@ def check_itemset(x, position=None) -> tuple:
     """Validate one transaction: an iterable of str/int tokens.
 
     Bare strings are rejected because iterating them silently splits into
-    characters, which is never what a caller meant.
+    characters, which is never what a caller meant.  ``bool`` tokens are
+    rejected because ``True`` equals ``1`` and would be counted as it.
     """
     where = "" if position is None else f" at position {position}"
     if isinstance(x, (str, bytes)):
@@ -32,7 +33,7 @@ def check_itemset(x, position=None) -> tuple:
     except TypeError:
         raise TypeError(f"transaction{where} is not iterable") from None
     for t in tokens:
-        if not isinstance(t, (str, int)):
+        if t is True or t is False or not isinstance(t, (str, int)):
             raise TypeError(
                 f"token {t!r}{where} is {type(t).__name__}; tokens must be str or int")
         if t == "":
@@ -112,9 +113,7 @@ class ClosedItemsetStreamMiner:
     # -- streaming ----------------------------------------------------------
 
     def _make_driver(self) -> StreamDriver:
-        config = WindowConfig(capacity=self.window_size, mode=self.mode,
-                              min_supp=max(1, int(self.min_support)))
-        return StreamDriver(config)
+        return StreamDriver(WindowConfig(capacity=self.window_size, mode=self.mode))
 
     def fit(self, X, y=None) -> "ClosedItemsetStreamMiner":
         """Reset state and consume ``X`` (an iterable of transactions)."""

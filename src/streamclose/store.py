@@ -35,7 +35,8 @@ class ItemDictionary:
 
     def intern(self, token) -> int:
         """Return the id for ``token``, allocating the next dense id if new."""
-        if not isinstance(token, (str, int)):
+        # bool is an int that hashes like 0 or 1, so True would share 1's id
+        if token is True or token is False or not isinstance(token, (str, int)):
             raise TypeError(f"item token must be str or int, got {type(token).__name__}")
         if token == "":
             raise ValueError("item token must be non-empty")
@@ -181,13 +182,16 @@ def materialize_itemset(store: CIStore, index: InvertedIndex, ci_id: int) -> tup
     return itemset
 
 
-def snapshot(store: CIStore, index: InvertedIndex, min_supp: int = 1) -> list[tuple[tuple, int]]:
+def snapshot(store: CIStore, min_supp: int = 1) -> list[tuple[tuple, int]]:
     """All live CIs at or above ``min_supp`` as (ascending itemset, support).
 
-    Ordered lexicographically by item-id sequence, so output is deterministic
-    for a given interning order.  One pass over the records; the bootstrap
-    record's support of 0 keeps it out.
+    ``min_supp`` is an ``int`` (``bool`` is not one) of at least 1.  Ordered
+    lexicographically by item-id sequence, so output is deterministic for a
+    given interning order.  One pass over the records; the bootstrap record's
+    support of 0 keeps it out.
     """
+    if isinstance(min_supp, bool) or not isinstance(min_supp, int):
+        raise TypeError(f"min_supp must be an int, got {min_supp!r}")
     if min_supp < 1:
         raise ValueError("min_supp must be at least 1")
     rows = []

@@ -1,10 +1,12 @@
-"""Stream replay driver: tid assignment, FIFO window, shift sequencing.
+"""Stream replay driver: tid assignment, FIFO window, push sequencing.
 
-The driver owns the dictionary, the mining state and the window buffer.  A
-push in sliding mode at capacity evicts the oldest transaction first and then
-adds the new one, so the buffer never exceeds its capacity; landmark mode
-never evicts.  Evicted itemsets are taken from the buffer, which is the only
-place transaction contents survive between shifts.
+The driver owns the dictionary, the mining state and the window buffer, and
+is the only code that sequences a push: ``evict`` removes the oldest
+transaction when a sliding window is full, then ``push_ids`` adds the new
+one, so the buffer never exceeds its capacity; landmark mode never evicts.
+Evicted itemsets are taken from the buffer, which is the only place
+transaction contents survive between shifts.  Maintenance always tracks the
+full family; the emission threshold is an argument of ``snapshot`` only.
 """
 
 from __future__ import annotations
@@ -23,16 +25,14 @@ LANDMARK = "landmark"
 
 @dataclass(frozen=True)
 class WindowConfig:
-    """Replay parameters.
+    """Window parameters.
 
     ``capacity`` is the sliding-window size, an ``int`` (``bool`` is not
-    one) or None, and is ignored in landmark mode; ``min_supp`` filters
-    emission only, never maintenance.
+    one) or None, and is ignored in landmark mode.
     """
 
     capacity: int | None = None
     mode: str = SLIDING
-    min_supp: int = 1
 
     def __post_init__(self):
         if self.capacity is not None and (
@@ -44,17 +44,16 @@ class WindowConfig:
         if self.mode == SLIDING:
             if self.capacity is None or self.capacity < 1:
                 raise ValueError("sliding mode needs a capacity of at least 1")
-        if self.min_supp < 1:
-            raise ValueError("min_supp must be at least 1")
 
 
 @dataclass
 class StatsRecord:
     """One row of the per-transaction replay series.
 
-    ``op`` is "add" while the window is filling (or in landmark mode) and
-    "shift" once pushes evict; counts cover both halves of a shift pair.
-    ``trie_nodes`` and ``entries_scanned`` are summed over the pair.
+    The fields are ``formats.STATS_COLUMNS``, in order.  ``op`` is "add"
+    while the window is filling (or in landmark mode) and "shift" once pushes
+    evict; counts cover both halves of a shift pair.  ``trie_nodes`` and
+    ``entries_scanned`` are summed over the pair.
     """
 
     shift: int
@@ -68,9 +67,6 @@ class StatsRecord:
     trie_nodes: int
     entries_scanned: int
     wall_ns: int
-    max_transaction_size: int
-    list_entries: int
-    snapshot: list | None = None
 
 
 class StreamDriver:
@@ -82,12 +78,26 @@ class StreamDriver:
         self.engine = MinerEngine()
         self.buffer: deque[tuple[int, tuple]] = deque()
         self.next_tid = 0
-        self.max_transaction_size = 0
 
     def push(self, tokens: Iterable) -> tuple[ShiftReport | None, ShiftReport]:
         """Intern ``tokens`` and push the resulting itemset."""
         items = sorted({self.dictionary.intern(t) for t in tokens})
         return self.push_ids(items)
+
+    def evict(self) -> ShiftReport | None:
+        """Evict the oldest transaction if the sliding window is full.
+
+        Returns the removal report, or None when the window has room or runs
+        in landmark mode.  The buffer drops its entry only after the engine
+        accepted the removal.
+        """
+        cfg = self.config
+        if cfg.mode != SLIDING or len(self.buffer) < cfg.capacity:
+            return None
+        old_tid, old_items = self.buffer[0]
+        removed = self.engine.shift_remove(old_tid, old_items)
+        self.buffer.popleft()
+        return removed
 
     def push_ids(self, items: Iterable[int]) -> tuple[ShiftReport | None, ShiftReport]:
         """Push an already-interned itemset.
@@ -98,64 +108,46 @@ class StreamDriver:
         a half, so a rejected push leaves the driver as it was.
         """
         items = tuple(sorted(set(items)))
-        engine = self.engine
         tid = self.next_tid
-        if tid in engine.window_tids:
+        if tid in self.engine.window_tids:
             raise ValueError(f"tid {tid} is already in the window")
-        removed = None
-        cfg = self.config
-        if cfg.mode == SLIDING and len(self.buffer) >= cfg.capacity:
-            old_tid, old_items = self.buffer[0]
-            removed = engine.shift_remove(old_tid, old_items)
-            self.buffer.popleft()
-        added = engine.shift_add(tid, items)
+        removed = self.evict()
+        added = self.engine.shift_add(tid, items)
         self.next_tid = tid + 1
         self.buffer.append((tid, items))
-        if len(items) > self.max_transaction_size:
-            self.max_transaction_size = len(items)
         return removed, added
 
-    def snapshot_ids(self, min_supp: int | None = None) -> list[tuple[tuple, int]]:
-        ms = self.config.min_supp if min_supp is None else min_supp
-        return self.engine.snapshot(ms)
+    def snapshot(self, min_supp: int = 1) -> list[tuple[tuple, int]]:
+        """The closed itemsets at or above ``min_supp``, with original tokens.
 
-    def snapshot(self, min_supp: int | None = None) -> list[tuple[tuple, int]]:
-        """Like snapshot_ids but with original tokens, same (id-lex) order.
-
-        Ids pushed around the dictionary (push_ids with uninterned ints) have
-        no token and are emitted as-is.
+        Rows come in the engine's (id-lex) order.  Ids pushed around the
+        dictionary (push_ids with uninterned ints) have no token and are
+        emitted as-is.
         """
         tok = self.dictionary.token
         known = len(self.dictionary)
         return [(tuple(tok(a) if 0 <= a < known else a for a in items), supp)
-                for items, supp in self.snapshot_ids(min_supp)]
+                for items, supp in self.engine.snapshot(min_supp)]
 
     @property
     def live_cis(self) -> int:
         return self.engine.store.live_count
 
 
-def replay(source: Iterable[Iterable[int]], config: WindowConfig,
-           driver: StreamDriver | None = None,
-           snapshot_every: int = 0) -> Iterator[StatsRecord]:
-    """Replay a source of interned itemsets, yielding one record per push.
+def replay(source: Iterable[Iterable[int]], driver: StreamDriver) -> Iterator[StatsRecord]:
+    """Push each itemset of ``source`` through ``driver``, one record per push.
 
     ``source`` must yield itemsets of item ids (see formats.StreamSource);
-    pass a ``driver`` sharing the source's dictionary to keep tokens
-    consistent.  With ``snapshot_every`` = k > 0, every k-th record carries a
-    token-level snapshot.
+    give the driver the source's dictionary to keep tokens consistent.  Each
+    record is yielded before the next push, so the caller can read the
+    driver's state, a snapshot say, as it stands after that push.
     """
-    if driver is None:
-        driver = StreamDriver(config)
     shift_no = 0
     for items in source:
         shift_no += 1
         t0 = time.perf_counter_ns()
         removed, added = driver.push_ids(items)
         wall = time.perf_counter_ns() - t0
-        snap = None
-        if snapshot_every > 0 and shift_no % snapshot_every == 0:
-            snap = driver.snapshot()
         yield StatsRecord(
             shift=shift_no,
             tid=added.tid,
@@ -168,7 +160,4 @@ def replay(source: Iterable[Iterable[int]], config: WindowConfig,
             trie_nodes=added.nodes_created + (removed.nodes_created if removed else 0),
             entries_scanned=added.entries_scanned + (removed.entries_scanned if removed else 0),
             wall_ns=wall,
-            max_transaction_size=driver.max_transaction_size,
-            list_entries=driver.engine.index.entry_count,
-            snapshot=snap,
         )

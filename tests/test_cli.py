@@ -2,7 +2,9 @@
 
 import pytest
 
-from streamclose import cli, oracle
+import random
+
+from streamclose import StreamDriver, StreamSource, WindowConfig, cli, oracle, write_snapshot
 from conftest import TABLE1, TABLE2
 
 
@@ -67,6 +69,27 @@ def test_mine_snapshot_every(d10, tmp_path):
     assert out.read_text() == golden_tsv()
 
 
+def test_mine_periodic_snapshots_match_the_driver(tmp_path):
+    rng = random.Random(3)
+    rows = [" ".join(rng.sample("abcdefgh", rng.randint(0, 5))) for _ in range(40)]
+    data = tmp_path / "gen.dat"
+    data.write_text("\n".join(rows) + "\n")
+    out = tmp_path / "snap.tsv"
+    assert cli.main(["mine", "--input", str(data), "--window", "12",
+                     "--min-supp", "3", "--emit-snapshot", str(out),
+                     "--snapshot-every", "7"]) == 0
+    source = StreamSource(str(data))
+    driver = StreamDriver(WindowConfig(capacity=12, mode="sliding"),
+                          dictionary=source.dictionary)
+    for k, items in enumerate(source, start=1):
+        driver.push_ids(items)
+        periodic = tmp_path / f"snap.tsv.{k:08d}"
+        assert periodic.exists() == (k % 7 == 0)
+        if k % 7 == 0:
+            assert periodic.read_text() == write_snapshot(driver.snapshot(3))
+    assert out.read_text() == write_snapshot(driver.snapshot(3))
+
+
 def test_mine_jsonl_format(d10, tmp_path):
     out = tmp_path / "out.jsonl"
     code = cli.main(["mine", "--input", str(d10), "--window", "10",
@@ -89,12 +112,17 @@ def test_mine_parse_error_is_exit_2(tmp_path):
     assert cli.main(["mine", "--input", str(p), "--window", "4"]) == 2
 
 
-def test_usage_errors_are_exit_1(tmp_path, d10):
+def test_usage_errors_are_exit_1(tmp_path, d10, capsys):
     assert cli.main(["mine"]) == 1                       # missing --input
     assert cli.main(["mine", "--input", str(d10)]) == 1  # sliding, no window
     assert cli.main(["mine", "--input", str(d10), "--window", "0"]) == 1
     assert cli.main(["bogus"]) == 1
     assert cli.main([]) == 1
+    capsys.readouterr()
+    assert cli.main(["mine", "--input", str(d10), "--window", "10",
+                     "--min-supp", "0"]) == 1
+    assert capsys.readouterr() == (
+        "", "streamclose mine: error: min_supp must be at least 1\n")
 
 
 def test_verify_clean_stream(d10, capsys):
@@ -115,6 +143,21 @@ def test_verify_divergence_is_exit_3(d10, monkeypatch, capsys):
     code = cli.main(["verify", "--input", str(d10), "--window", "9"])
     assert code == 3
     assert "divergence at shift 1" in capsys.readouterr().err
+
+
+def test_verify_checks_the_eviction_half(d10, monkeypatch, capsys):
+    real = oracle.closed_itemsets
+
+    def skewed_once_tid_0_is_gone(db, max_cis=oracle.DEFAULT_CI_CAP):
+        fam = real(db, max_cis)
+        if 0 in db:
+            return fam
+        return {c: s + 1 for c, s in fam.items()}
+
+    monkeypatch.setattr(cli.oracle, "closed_itemsets", skewed_once_tid_0_is_gone)
+    code = cli.main(["verify", "--input", str(d10), "--window", "9"])
+    assert code == 3
+    assert "divergence at shift 10 (remove tid 0)" in capsys.readouterr().err
 
 
 def test_verify_cap_is_exit_4(d10):
@@ -139,38 +182,3 @@ def test_byte_identical_reruns(d10, tmp_path):
     # stats contain wall times; compare the deterministic prefix columns
     strip = lambda p: ["," .join(line.split(",")[:10]) for line in p.read_text().splitlines()]
     assert strip(sa) == strip(sb)
-
-
-def test_verify_rejected_half_leaves_driver_intact():
-    driver = cli.StreamDriver(cli.WindowConfig(capacity=2, mode="sliding"))
-    checked = []
-    for items in [(0, 1), (1, 2)]:
-        assert cli._verify_push(driver, items, checked.append) is None
-    eng = driver.engine
-
-    def state():
-        return list(driver.buffer), driver.next_tid, set(eng.window_tids)
-
-    # the engine refuses the eviction: the oldest entry stays buffered
-    old_tid, old_items = driver.buffer[0]
-    eng.shift_remove(old_tid, old_items)
-    before = state()
-    with pytest.raises(ValueError):
-        cli._verify_push(driver, (2, 3), checked.append)
-    assert state() == before
-    eng.shift_add(old_tid, old_items)
-
-    # the next tid is taken: nothing is evicted and the counter stays put
-    eng.shift_add(driver.next_tid, (9,))
-    before = state()
-    with pytest.raises(ValueError):
-        cli._verify_push(driver, (2, 3), checked.append)
-    assert state() == before
-    eng.shift_remove(driver.next_tid, (9,))
-
-    assert len(checked) == 2
-    assert cli._verify_push(driver, (2, 3), checked.append) is None
-    assert [r.kind for r in checked[2:]] == ["remove", "add"]
-    assert [tid for tid, _ in driver.buffer] == [1, 2]
-    fam = {frozenset(x): s for x, s in eng.snapshot(1)}
-    assert fam == oracle.closed_itemsets({t: frozenset(x) for t, x in driver.buffer})

@@ -148,10 +148,22 @@ def test_validation_rejects_bare_strings():
 def test_validation_rejects_bad_tokens():
     with pytest.raises(TypeError):
         check_itemset([1.5])
+    with pytest.raises(TypeError):
+        check_itemset([False])
     with pytest.raises(ValueError):
         check_itemset([""])
     with pytest.raises(TypeError):
         check_itemset(42)
+
+
+def test_bool_tokens_are_rejected():
+    # True equals 1: it used to share 1's id, so 1 was reported as True
+    with pytest.raises(TypeError, match="is bool"):
+        ClosedItemsetStreamMiner().fit([[True, "a"], [1, "b"]])
+    miner = ClosedItemsetStreamMiner().fit([[1, "b"], [1]])
+    with pytest.raises(TypeError, match="is bool"):
+        miner.predict([[True]])
+    assert miner.predict([[1]]) == [2]
 
 
 def test_int_tokens_roundtrip():

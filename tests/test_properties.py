@@ -212,4 +212,4 @@ def test_landmark_equals_sliding_with_huge_window():
     for t in stream:
         landmark.push_ids(t)
         sliding.push_ids(t)
-    assert landmark.snapshot_ids() == sliding.snapshot_ids()
+    assert landmark.engine.snapshot() == sliding.engine.snapshot()

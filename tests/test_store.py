@@ -43,6 +43,8 @@ def test_intern_rejects_bad_tokens():
         d.intern("")
     with pytest.raises(TypeError):
         d.intern(3.5)
+    with pytest.raises(TypeError):
+        d.intern(True)
 
 
 def test_intern_int_tokens():
@@ -157,20 +159,30 @@ def test_snapshot_high_threshold():
 
 
 def test_snapshot_empty_store():
-    store, index = CIStore(), InvertedIndex()
-    assert snapshot(store, index, 1) == []
-    assert snapshot(store, index, 99) == []
+    store = CIStore()
+    assert snapshot(store, 1) == []
+    assert snapshot(store, 99) == []
 
 
 def test_snapshot_rejects_zero_threshold():
-    store, index = CIStore(), InvertedIndex()
     with pytest.raises(ValueError):
-        snapshot(store, index, 0)
+        snapshot(CIStore(), 0)
+
+
+@pytest.mark.parametrize("min_supp", [1.5, True, "2"])
+def test_snapshot_rejects_a_threshold_that_is_not_an_int(min_supp):
+    # 1.5 used to emit at 2 and up, True at 1, and "2" failed inside a
+    # comparison
+    driver = landmark_driver(TABLE1)
+    with pytest.raises(TypeError, match="min_supp must be an int"):
+        driver.engine.snapshot(min_supp)
+    with pytest.raises(TypeError, match="min_supp must be an int"):
+        driver.snapshot(min_supp)
 
 
 def test_snapshot_is_sorted_lexicographically():
     driver = landmark_driver(TABLE1)
-    rows = driver.snapshot_ids()
+    rows = driver.engine.snapshot()
     assert rows == sorted(rows)
 
 
@@ -225,8 +237,7 @@ def test_store_invariants_catch_an_altered_itemset():
 
 
 def test_snapshot_reads_the_records_alone():
-    store, index, d = build_table2_state()
-    index.lists.clear()  # emission must not need the lists
-    rows = snapshot(store, index, 5)
+    store, _, d = build_table2_state()
+    rows = snapshot(store, 5)
     assert [("".join(d.token(a) for a in items), s) for items, s in rows] == [
         ("bc", 5), ("c", 6), ("d", 5), ("f", 5), ("g", 5), ("h", 5)]

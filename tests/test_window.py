@@ -15,8 +15,6 @@ def test_config_validation():
         WindowConfig(mode="sliding")           # no capacity
     with pytest.raises(ValueError):
         WindowConfig(capacity=0, mode="sliding")
-    with pytest.raises(ValueError):
-        WindowConfig(capacity=5, min_supp=0)
     WindowConfig(mode="landmark")              # capacity optional here
 
 
@@ -55,14 +53,14 @@ def test_landmark_never_removes():
     for t in TABLE1 + TABLE1:
         removed, _ = driver.push(tuple(set(t)))
         assert removed is None
+        assert driver.evict() is None
     assert len(driver.buffer) == 20
 
 
 def test_replay_full_window_matches_golden(tmp_path):
-    config = WindowConfig(capacity=10, mode="sliding", min_supp=1)
-    driver = StreamDriver(config)
+    driver = StreamDriver(WindowConfig(capacity=10, mode="sliding"))
     records = list(replay([tuple(sorted({driver.dictionary.intern(t) for t in row}))
-                           for row in TABLE1], config, driver=driver))
+                           for row in TABLE1], driver))
     assert len(records) == 10
     assert {items: s for items, s in driver.snapshot()} == TABLE2
     assert records[-1].live_cis == 22
@@ -70,11 +68,10 @@ def test_replay_full_window_matches_golden(tmp_path):
 
 
 def test_replay_window_nine_matches_oracle():
-    config = WindowConfig(capacity=9, mode="sliding")
-    driver = StreamDriver(config)
+    driver = StreamDriver(WindowConfig(capacity=9, mode="sliding"))
     source = [tuple(sorted({driver.dictionary.intern(t) for t in row}))
               for row in TABLE1]
-    records = list(replay(source, config, driver=driver))
+    records = list(replay(source, driver))
     assert records[-1].op == "shift"
     assert records[-1].obsolete + records[-1].demoted > 0
     want = oracle.closed_itemsets(window_db(driver.buffer))
@@ -82,29 +79,21 @@ def test_replay_window_nine_matches_oracle():
 
 
 def test_replay_empty_input():
-    config = WindowConfig(capacity=4, mode="sliding")
-    assert list(replay([], config)) == []
+    driver = StreamDriver(WindowConfig(capacity=4, mode="sliding"))
+    assert list(replay([], driver)) == []
 
 
 def test_replay_series_deterministic():
     rng = random.Random(5)
     stream = random_stream(rng, 9, 120, max_len=6)
-    config = WindowConfig(capacity=7, mode="sliding")
 
     def run():
+        driver = StreamDriver(WindowConfig(capacity=7, mode="sliding"))
         return [(r.shift, r.tid, r.op, r.new, r.promoted, r.obsolete,
                  r.demoted, r.live_cis, r.trie_nodes, r.entries_scanned)
-                for r in replay(stream, config)]
+                for r in replay(stream, driver)]
 
     assert run() == run()
-
-
-def test_replay_snapshot_every():
-    config = WindowConfig(capacity=5, mode="sliding")
-    stream = [(0, 1), (1, 2), (0, 2), (0, 1, 2), (2, 3), (1, 3)]
-    records = list(replay(stream, config, snapshot_every=2))
-    snaps = [r.snapshot for r in records]
-    assert [s is not None for s in snaps] == [False, True, False, True, False, True]
 
 
 def test_empty_baskets_occupy_slots():
@@ -149,12 +138,43 @@ def test_rejected_push_leaves_driver_unchanged():
 
 
 def test_push_stats_wiring():
-    config = WindowConfig(capacity=3, mode="sliding")
-    driver = StreamDriver(config)
+    driver = StreamDriver(WindowConfig(capacity=3, mode="sliding"))
     stream = [(0, 1, 2), (1, 2), (0, 2, 3), (2, 3)]
-    records = list(replay(stream, config, driver=driver))
+    records = list(replay(stream, driver))
     last = records[-1]
-    assert last.op == "shift"
-    assert last.max_transaction_size == 3
-    assert last.list_entries == driver.engine.index.entry_count
+    assert last.op == "shift" and last.tid == 3
+    assert last.live_cis == driver.live_cis
     assert last.wall_ns >= 0
+
+
+def test_evict_keeps_the_entry_the_engine_refuses():
+    driver = StreamDriver(WindowConfig(capacity=2, mode="sliding"))
+    driver.push_ids((0, 1))
+    driver.push_ids((1, 2))
+    eng = driver.engine
+    # evict the oldest transaction behind the driver's back: the engine then
+    # refuses the driver's eviction, which must not lose the buffered entry
+    old_tid, old_items = driver.buffer[0]
+    eng.shift_remove(old_tid, old_items)
+    before = list(driver.buffer), driver.next_tid
+    with pytest.raises(ValueError):
+        driver.evict()
+    assert (list(driver.buffer), driver.next_tid) == before
+    eng.shift_add(old_tid, old_items)
+
+    removed = driver.evict()
+    assert removed.kind == "remove" and removed.tid == 0
+    assert [tid for tid, _ in driver.buffer] == [1]
+    assert driver.evict() is None             # below capacity now
+    removed, added = driver.push_ids((2, 3))  # room left: nothing evicted
+    assert removed is None and added.tid == 2
+    assert ids_family(eng) == oracle.closed_itemsets(window_db(driver.buffer))
+
+
+def test_push_rejects_bool_tokens():
+    # True equals 1, so it used to take 1's id and be reported in its place
+    driver = StreamDriver(WindowConfig(mode="landmark"))
+    driver.push([1, "b"])
+    with pytest.raises(TypeError, match="got bool"):
+        driver.push([True, "a"])
+    assert driver.snapshot() == [((1, "b"), 1)]
