@@ -63,6 +63,9 @@ def _cmd_mine(args) -> int:
     if args.mode == SLIDING and args.window is None:
         sys.stderr.write("streamclose mine: error: sliding mode needs --window\n")
         return EXIT_USAGE
+    if args.snapshot_every < 0:
+        sys.stderr.write("streamclose mine: error: --snapshot-every must be at least 0\n")
+        return EXIT_USAGE
     if args.snapshot_every > 0 and not args.emit_snapshot:
         sys.stderr.write("streamclose mine: error: --snapshot-every needs --emit-snapshot\n")
         return EXIT_USAGE

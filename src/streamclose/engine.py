@@ -267,7 +267,7 @@ class MinerEngine:
                 f"CI {record.id}: path length {n.depth} vs size {record.size}"
             )
         self.index.remove(record, itemset)
-        self.store.remove(record.id)
+        self.store.remove(record)
         return itemset
 
     # ------------------------------------------------------------------
@@ -282,16 +282,22 @@ class MinerEngine:
         """Live CI record whose itemset is the closure of ``items``.
 
         None when no window transaction covers ``items`` (or it is empty).
-        The CIs containing ``items`` are the members common to its items'
-        inverted lists; the closure is the one among them with the query's
-        own support, which no other common member reaches, so it is the
-        unique maximum.  Cost is one C-level pass over the shortest list,
-        with an O(1) membership probe per further item.
+        The store holds exactly the closed family, so a query that is a live
+        CI's itemset is closed and that record is its closure: one dict
+        probe.  Otherwise the CIs containing ``items`` are the members
+        common to its items' inverted lists; the closure is the one among
+        them with the query's own support, which no other common member
+        reaches, so it is the unique maximum.  That costs one C-level pass
+        over the shortest list, with an O(1) membership probe per further
+        item.
         """
         self.check_usable()
         items = _normalize(items)
         if not items:
             return None
+        rec = self.store.records.get(items)
+        if rec is not None:
+            return rec
         lists = self.index.lists
         found = []
         for a in items:

@@ -41,6 +41,13 @@ def check_itemset(x, position=None) -> tuple:
     return tokens
 
 
+def _check_min_support(ms) -> int:
+    """Refuse a threshold that is not an ``int`` (``bool`` is not one)."""
+    if isinstance(ms, bool) or not isinstance(ms, int):
+        raise TypeError(f"min_support must be an int, got {ms!r}")
+    return ms
+
+
 def check_transactions(X) -> list[tuple]:
     """Validate a transaction collection, returning token tuples."""
     if isinstance(X, (str, bytes)):
@@ -61,8 +68,11 @@ class ClosedItemsetStreamMiner:
         Landmark keeps every transaction ever seen; sliding evicts the
         oldest once the window is full.
     min_support : int, default=1
-        Emission threshold for ``discover``.  Maintenance always tracks the
-        full family, so this can be changed between calls at no cost.
+        Emission threshold for ``discover``; values below 1 act as 1.
+        Maintenance always tracks the full family, so this can be changed
+        between calls at no cost.  Anything but an ``int`` (a ``bool``, a
+        float, a string) makes ``fit``, ``partial_fit`` and ``discover``
+        raise TypeError.
 
     Attributes
     ----------
@@ -117,12 +127,14 @@ class ClosedItemsetStreamMiner:
 
     def fit(self, X, y=None) -> "ClosedItemsetStreamMiner":
         """Reset state and consume ``X`` (an iterable of transactions)."""
+        _check_min_support(self.min_support)
         self.driver_ = self._make_driver()
         self.n_seen_ = 0
         return self.partial_fit(X)
 
     def partial_fit(self, X, y=None) -> "ClosedItemsetStreamMiner":
         """Consume more transactions without resetting."""
+        _check_min_support(self.min_support)
         if not hasattr(self, "driver_"):
             self.driver_ = self._make_driver()
             self.n_seen_ = 0
@@ -148,7 +160,7 @@ class ClosedItemsetStreamMiner:
         """
         self._require_fitted()
         ms = self.min_support if min_support is None else min_support
-        return self.driver_.snapshot(max(1, int(ms)))
+        return self.driver_.snapshot(max(1, _check_min_support(ms)))
 
     def _lookup(self, tokens):
         """Closure record for a token itemset, or None when unsupported."""
@@ -174,7 +186,7 @@ class ClosedItemsetStreamMiner:
             if rec is None:
                 out.append(None)
             else:
-                items = materialize_itemset(engine.store, engine.index, rec.id)
+                items = materialize_itemset(engine.store, engine.index, rec)
                 out.append(tuple(dictionary.token(a) for a in items))
         return out
 

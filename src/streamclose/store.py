@@ -12,9 +12,14 @@ stored tuples in peak memory.  Each inverted list is an insertion-ordered
 dict keyed by record, so adding, removing and testing one entry are O(1)
 while routing still iterates the list in a fixed order.
 
-Record id 0 is reserved for the bootstrap record: it stands for the full item
-universe at support 0, is logically a member of every inverted list without
-being physically stored in any, and is never emitted or removed.
+The store files each live record under its itemset tuple.  It holds exactly
+the window's closed family, so a query equal to a key is closed and that
+record is its closure: one dict probe, no list walked.
+
+The bootstrap record (id 0) stands for the full item universe at support 0.
+It is kept apart from the live records as ``CIStore.universe``, is logically
+a member of every inverted list without being physically stored in any, and
+is never emitted or removed.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ class ItemDictionary:
 
     def __init__(self):
         self._ids: dict = {}
-        self._tokens: list = []
+        self.tokens: list = []  # id -> token; read it, never write it
 
     def intern(self, token) -> int:
         """Return the id for ``token``, allocating the next dense id if new."""
@@ -42,16 +47,16 @@ class ItemDictionary:
             raise ValueError("item token must be non-empty")
         i = self._ids.get(token)
         if i is None:
-            i = len(self._tokens)
+            i = len(self.tokens)
             self._ids[token] = i
-            self._tokens.append(token)
+            self.tokens.append(token)
         return i
 
     def token(self, item_id: int):
-        return self._tokens[item_id]
+        return self.tokens[item_id]
 
     def __len__(self) -> int:
-        return len(self._tokens)
+        return len(self.tokens)
 
     def __contains__(self, token) -> bool:
         return token in self._ids
@@ -67,9 +72,10 @@ class CIRecord:
     shifts.
 
     ``itemset`` is the CI's ascending item-id tuple, the same items whose
-    inverted lists hold the record; the bootstrap record has None.  Keeping
-    it here makes emission one pass over the records and a closure's itemset
-    one attribute read, instead of a rebuild from the lists.
+    inverted lists hold the record and its key in ``CIStore.records``; the
+    bootstrap record has None.  Keeping it here makes emission one pass over
+    the records and a closure's itemset one attribute read, instead of a
+    rebuild from the lists.
 
     Records key every inverted list, and CPython hashes them by address.
     With four slots a record fills a 64-byte block, so every record's hash
@@ -92,32 +98,41 @@ class CIRecord:
 
 
 class CIStore:
-    """Owns the live CI records and the id counter.
+    """Owns the live CI records, keyed by itemset, and the id counter.
 
-    Ids of removed CIs are never reused within a run.
+    ``records`` maps each live CI's ascending itemset tuple (the one on its
+    record) to the record, so a closed query finds its record with one
+    probe.  The bootstrap record is not among them: it is ``universe``.  Ids
+    of removed CIs are never reused within a run.
     """
 
     def __init__(self):
         self.universe = CIRecord(0, 0, INFINITE_SIZE)
-        self.records: dict[int, CIRecord] = {0: self.universe}
+        self.records: dict[tuple, CIRecord] = {}
         self.next_id = 1
 
     def new_ci(self, support: int, itemset: tuple) -> CIRecord:
-        """Create a live record for the ascending ``itemset``."""
+        """Create a live record for the ascending ``itemset``.
+
+        An itemset that is already live is an internal invariant violation.
+        """
         rec = CIRecord(self.next_id, support, len(itemset), itemset)
-        self.records[rec.id] = rec
+        if self.records.setdefault(itemset, rec) is not rec:
+            raise AssertionError(f"itemset {itemset} is already a live CI")
         self.next_id += 1
         return rec
 
-    def remove(self, ci_id: int) -> None:
-        if ci_id == 0:
+    def remove(self, record: CIRecord) -> None:
+        if record is self.universe:
             raise ValueError("the bootstrap record cannot be removed")
-        del self.records[ci_id]
+        if self.records.get(record.itemset) is not record:
+            raise KeyError(record.id)
+        del self.records[record.itemset]
 
     @property
     def live_count(self) -> int:
         """Number of live CIs, bootstrap record excluded."""
-        return len(self.records) - 1
+        return len(self.records)
 
 
 class InvertedIndex:
@@ -158,27 +173,26 @@ class InvertedIndex:
         self.entry_count -= len(items)
 
 
-def materialize_itemset(store: CIStore, index: InvertedIndex, ci_id: int) -> tuple:
+def materialize_itemset(store: CIStore, index: InvertedIndex, record: CIRecord) -> tuple:
     """The ascending itemset of a live CI, as kept on its record.
 
-    Checks the record against the index on the way: the tuple's length must
-    be the record's size and the record must sit in each of its items'
-    lists, one O(1) probe per item.
+    KeyError when ``record`` is no longer live.  Checks the record against
+    the index on the way: the tuple's length must be the record's size and
+    the record must sit in each of its items' lists, one O(1) probe per item.
     """
-    if ci_id == 0:
+    if record is store.universe:
         raise ValueError("the bootstrap record has no materializable itemset")
-    rec = store.records.get(ci_id)
-    if rec is None:
-        raise KeyError(ci_id)
-    itemset = rec.itemset
-    if len(itemset) != rec.size:
+    itemset = record.itemset
+    if store.records.get(itemset) is not record:
+        raise KeyError(record.id)
+    if len(itemset) != record.size:
         raise AssertionError(
-            f"CI {ci_id}: record holds {len(itemset)} items, size says {rec.size}"
+            f"CI {record.id}: record holds {len(itemset)} items, size says {record.size}"
         )
     lists = index.lists
     for a in itemset:
-        if rec not in lists.get(a, ()):
-            raise AssertionError(f"CI {ci_id} missing from inverted list of item {a}")
+        if record not in lists.get(a, ()):
+            raise AssertionError(f"CI {record.id} missing from inverted list of item {a}")
     return itemset
 
 
@@ -187,17 +201,15 @@ def snapshot(store: CIStore, min_supp: int = 1) -> list[tuple[tuple, int]]:
 
     ``min_supp`` is an ``int`` (``bool`` is not one) of at least 1.  Ordered
     lexicographically by item-id sequence, so output is deterministic for a
-    given interning order.  One pass over the records; the bootstrap record's
-    support of 0 keeps it out.
+    given interning order.  One pass over the live records.
     """
     if isinstance(min_supp, bool) or not isinstance(min_supp, int):
         raise TypeError(f"min_supp must be an int, got {min_supp!r}")
     if min_supp < 1:
         raise ValueError("min_supp must be at least 1")
     rows = []
-    for rec in store.records.values():
+    for items, rec in store.records.items():
         if rec.support >= min_supp:
-            items = rec.itemset
             # tuple() hands back the stored tuple itself, no copy;
             # perfbench's referee test mutates this line
             rows.append((tuple(items), rec.support))
@@ -209,39 +221,44 @@ def snapshot(store: CIStore, min_supp: int = 1) -> list[tuple[tuple, int]]:
 def check_store_invariants(store: CIStore, index: InvertedIndex) -> None:
     """Raise AssertionError when the store and the index disagree.
 
-    Checks that every live record's itemset is exactly the set of items
-    whose lists hold it, that its size matches, and the global entry count.
-    Meant for tests and debugging, not the hot path.
+    Checks that every live record is filed under its own itemset, that the
+    itemset is exactly the set of items whose lists hold the record, that
+    its size matches, and the global entry count.  Meant for tests and
+    debugging, not the hot path.
     """
-    parts: dict[int, list[int]] = {}
+    parts: dict[CIRecord, list[int]] = {}
     total = 0
     for a, lst in index.lists.items():
         for rec in lst:
-            parts.setdefault(rec.id, []).append(a)
+            parts.setdefault(rec, []).append(a)
             total += 1
     if total != index.entry_count:
         raise AssertionError(f"entry_count {index.entry_count} != actual {total}")
-    for ci_id, rec in store.records.items():
-        if ci_id == 0:
-            if rec.support != 0 or rec.size != INFINITE_SIZE or rec.itemset is not None:
-                raise AssertionError("bootstrap record mutated")
-            if 0 in parts:
-                raise AssertionError("bootstrap record leaked into the index")
-            continue
+    u = store.universe
+    if u.id != 0 or u.support != 0 or u.size != INFINITE_SIZE or u.itemset is not None:
+        raise AssertionError("bootstrap record mutated")
+    if u in parts:
+        raise AssertionError("bootstrap record leaked into the index")
+    for key, rec in store.records.items():
+        if rec is u:
+            raise AssertionError("bootstrap record filed among the live CIs")
+        if key != rec.itemset:
+            raise AssertionError(
+                f"CI {rec.id} filed under {key}, but its itemset is {rec.itemset}")
         if rec.support < 1:
-            raise AssertionError(f"CI {ci_id} has support {rec.support}")
-        items = sorted(parts.get(ci_id, ()))
+            raise AssertionError(f"CI {rec.id} has support {rec.support}")
+        items = sorted(parts.get(rec, ()))
         if len(items) != rec.size:
             raise AssertionError(
-                f"CI {ci_id}: size {rec.size} vs {len(items)} index entries"
+                f"CI {rec.id}: size {rec.size} vs {len(items)} index entries"
             )
         if rec.itemset != tuple(items):
             raise AssertionError(
-                f"CI {ci_id}: stored itemset {rec.itemset} vs index items {tuple(items)}"
+                f"CI {rec.id}: stored itemset {rec.itemset} vs index items {tuple(items)}"
             )
-    expected = sum(rec.size for i, rec in store.records.items() if i != 0)
+    expected = sum(rec.size for rec in store.records.values())
     if expected != index.entry_count:
         raise AssertionError("sum of sizes disagrees with index entry count")
-    for ci_id in parts:
-        if ci_id not in store.records:
-            raise AssertionError(f"index references dead CI {ci_id}")
+    for rec in parts:
+        if store.records.get(rec.itemset) is not rec:
+            raise AssertionError(f"index references dead CI {rec.id}")

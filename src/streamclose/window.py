@@ -122,11 +122,14 @@ class StreamDriver:
 
         Rows come in the engine's (id-lex) order.  Ids pushed around the
         dictionary (push_ids with uninterned ints) have no token and are
-        emitted as-is.
+        emitted as-is.  A row's ids ascend, so testing its first and last id
+        clears the whole row for translation in one C-level ``map``.
         """
-        tok = self.dictionary.token
-        known = len(self.dictionary)
-        return [(tuple(tok(a) if 0 <= a < known else a for a in items), supp)
+        tokens = self.dictionary.tokens
+        tok = tokens.__getitem__
+        known = len(tokens)
+        return [(tuple(map(tok, items)) if 0 <= items[0] and items[-1] < known
+                 else tuple(tok(a) if 0 <= a < known else a for a in items), supp)
                 for items, supp in self.engine.snapshot(min_supp)]
 
     @property

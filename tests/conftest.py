@@ -13,7 +13,7 @@ from collections import defaultdict
 import pytest
 
 from streamclose import MinerEngine, ShiftReport, StreamDriver, WindowConfig
-from streamclose.store import InvertedIndex
+from streamclose.store import CIRecord, CIStore, InvertedIndex
 from streamclose.trie import SUPPORT_FLOOR, Trie, TrieNode
 
 # Ten-transaction worked example; tid n is TABLE1[n - 1].
@@ -64,6 +64,14 @@ def token_family(driver: StreamDriver, min_supp: int = 1) -> dict:
 
 def ids_family(engine: MinerEngine) -> dict:
     return {frozenset(items): supp for items, supp in engine.snapshot(1)}
+
+
+def record_of(store: CIStore, ci_id: int) -> CIRecord:
+    """The live record with id ``ci_id``; the store is keyed by itemset."""
+    for rec in store.records.values():
+        if rec.id == ci_id:
+            return rec
+    raise KeyError(ci_id)
 
 
 def window_db(buffer) -> dict:

@@ -23,6 +23,7 @@ from conftest import (
     end_nodes,
     ids_family,
     landmark_driver,
+    record_of,
     scan_length,
     token_family,
 )
@@ -72,7 +73,8 @@ def test_criterion_2_golden_decrement():
     assert obsolete >= {tuple("abc"), tuple("cf"), tuple("ef"), tuple("abcef")}
     assert obsolete == {tuple("abc"), tuple("cf"), tuple("ef"), tuple("abcef"),
                         tuple("f")}
-    demoted = {tuple(tok(a) for a in materialize_itemset(eng.store, eng.index, cid))
+    demoted = {tuple(tok(a) for a in materialize_itemset(eng.store, eng.index,
+                                                         record_of(eng.store, cid)))
                for cid in rep2.demoted}
     assert demoted == {tuple("bc"), tuple("c")}
     db = {t: frozenset(x) for t, x in driver.buffer}
@@ -89,7 +91,8 @@ def test_criterion_3_category_report():
     _, report = driver.push(TABLE1[9])
     new = {tuple(tok(a) for a in i): s for _, i, s in report.new_cis}
     assert new == {tuple("bcgh"): 2, tuple("cgh"): 3, tuple("gh"): 4, tuple("h"): 5}
-    promoted = {tuple(tok(a) for a in materialize_itemset(eng.store, eng.index, cid))
+    promoted = {tuple(tok(a) for a in materialize_itemset(eng.store, eng.index,
+                                                          record_of(eng.store, cid)))
                 for cid in report.promoted}
     assert promoted == {tuple("bc"), tuple("c"), tuple("g")}
     # supports obey "closure support before the shift, plus one"
@@ -257,7 +260,7 @@ def fuzz() -> FuzzTally:
                 db_before[otid] = frozenset(oitems)
                 l_m = eng.store.live_count
                 pre = len(oitems) + sum(scan_length(eng.index, a) for a in oitems)
-                recs = list(eng.store.records.values())
+                recs = [eng.store.universe, *eng.store.records.values()]
                 rep = eng.shift_remove(otid, oitems)
                 tally.shifts += 1
                 db_after = {j: frozenset(x) for j, x in window}
@@ -267,7 +270,7 @@ def fuzz() -> FuzzTally:
             db_before = {j: frozenset(x) for j, x in window}
             l_m = eng.store.live_count
             pre = len(items) + sum(scan_length(eng.index, a) for a in items)
-            recs = list(eng.store.records.values())
+            recs = [eng.store.universe, *eng.store.records.values()]
             rep = eng.shift_add(tid, items)
             tally.shifts += 1
             window.append((tid, items))
@@ -308,15 +311,15 @@ def test_criterion_5_round_trip_identity():
         for tid in range(rng.randint(1, 30)):
             eng.shift_add(tid, tuple(sorted(
                 rng.sample(range(alpha), rng.randint(1, min(8, alpha))))))
-        before_records = {cid: (r.support, r.size)
-                          for cid, r in eng.store.records.items()}
+        before_records = {r.id: (r.itemset, r.support, r.size)
+                          for r in eng.store.records.values()}
         before_snapshot = eng.snapshot(1)
         probe = tuple(sorted(rng.sample(range(alpha),
                                         rng.randint(1, min(8, alpha)))))
         eng.shift_add(10_000, probe)
         eng.shift_remove(10_000, probe)
-        after_records = {cid: (r.support, r.size)
-                         for cid, r in eng.store.records.items()}
+        after_records = {r.id: (r.itemset, r.support, r.size)
+                         for r in eng.store.records.values()}
         assert after_records == before_records, f"case {case}"
         assert eng.snapshot(1) == before_snapshot, f"case {case}"
     report_pass(5, f"{N_ROUND_TRIPS} add-then-remove round trips restored "

@@ -123,6 +123,12 @@ def test_usage_errors_are_exit_1(tmp_path, d10, capsys):
                      "--min-supp", "0"]) == 1
     assert capsys.readouterr() == (
         "", "streamclose mine: error: min_supp must be at least 1\n")
+    out = tmp_path / "out.tsv"
+    assert cli.main(["mine", "--input", str(d10), "--window", "10",
+                     "--snapshot-every", "-3", "--emit-snapshot", str(out)]) == 1
+    assert capsys.readouterr() == (
+        "", "streamclose mine: error: --snapshot-every must be at least 0\n")
+    assert not list(tmp_path.glob("out.tsv*"))
 
 
 def test_verify_clean_stream(d10, capsys):

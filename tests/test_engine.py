@@ -21,6 +21,7 @@ from conftest import (
     ids_family,
     landmark_driver,
     random_stream,
+    record_of,
     scan_length,
     step_shift,
     token_family,
@@ -36,7 +37,8 @@ def tokens_of(driver, items):
 
 def promoted_tokens(driver, report):
     eng = driver.engine
-    return {tokens_of(driver, materialize_itemset(eng.store, eng.index, cid))
+    return {tokens_of(driver, materialize_itemset(eng.store, eng.index,
+                                                  record_of(eng.store, cid)))
             for cid in report.promoted}
 
 
@@ -124,7 +126,8 @@ def test_remove_second_transaction_golden(table2_driver):
     obsolete = {tokens_of(driver, i) for _, i in report.obsolete}
     assert obsolete == {tuple("abc"), tuple("cf"), tuple("ef"), tuple("abcef"),
                         tuple("f")}
-    demoted = {tokens_of(driver, materialize_itemset(eng.store, eng.index, cid))
+    demoted = {tokens_of(driver, materialize_itemset(eng.store, eng.index,
+                                                     record_of(eng.store, cid)))
                for cid in report.demoted}
     assert demoted == {tuple("bc"), tuple("c")}
     assert ids_family(eng) == oracle.closed_itemsets(window_db(driver.buffer))
@@ -253,8 +256,7 @@ def test_stale_runner_entry_does_not_certify(table2_driver):
         eng = driver.engine
         tid, items = driver.buffer.popleft()
         eng.shift_remove(tid, items)
-        abcef_rec = next(rec for cid, rec in eng.store.records.items()
-                         if cid != 0 and rec.size == 5)
+        abcef_rec = next(rec for rec in eng.store.records.values() if rec.size == 5)
         tid, items = driver.buffer.popleft()
         if shift is None:
             report = eng.shift_remove(tid, items)
@@ -318,9 +320,8 @@ def test_expand_path_walks_bc(table3_driver):
     eng = driver.engine
     d = driver.dictionary
     b, c = d.intern("b"), d.intern("c")
-    bc = next(rec for cid, rec in eng.store.records.items()
-              if cid != 0 and rec.size == 2
-              and materialize_itemset(eng.store, eng.index, cid) == (b, c))
+    bc = eng.store.records[(b, c)]
+    assert materialize_itemset(eng.store, eng.index, bc) == (b, c)
     eng.trie.reset()
     table = defaultdict(PassThrough)
     for a in (b, c):
@@ -343,10 +344,9 @@ def in_current_trie(eng, node) -> bool:
 def test_untouched_ci_keeps_stale_cursor(table3_driver):
     driver = table3_driver
     eng = driver.engine
-    d_rec = next(rec for cid, rec in eng.store.records.items()
-                 if cid != 0 and rec.size == 1
-                 and materialize_itemset(eng.store, eng.index, cid)
-                 == (driver.dictionary.intern("d"),))
+    d = (driver.dictionary.intern("d"),)
+    d_rec = eng.store.records[d]
+    assert materialize_itemset(eng.store, eng.index, d_rec) == d
     cursor = d_rec.cursor
     driver.push(TABLE1[9])  # bcgh shares nothing with {d}
     assert d_rec.cursor is cursor
@@ -368,7 +368,9 @@ def test_bootstrap_record_walks_full_path(table3_driver):
 def test_new_record_cursor_is_detached():
     eng = MinerEngine()
     report = eng.shift_add(1, (0, 1))
-    rec = eng.store.records[report.new_cis[0][0]]
+    ci_id, itemset, _ = report.new_cis[0]
+    rec = eng.store.records[itemset]
+    assert rec.id == ci_id
     assert rec.cursor is DETACHED and DETACHED.children is None
     assert not in_current_trie(eng, rec.cursor)
 
@@ -396,7 +398,7 @@ def test_update_gen_inc_tracks_class_closure(table3_driver):
     # the class closure of {h} before the shift was fh at support 4, and fh
     # is not contained in bcgh, so its support is untouched
     assert top.support == 4
-    assert materialize_itemset(eng.store, eng.index, top.id) == \
+    assert materialize_itemset(eng.store, eng.index, top) == \
         tuple(d.intern(t) for t in "fh")
 
 
@@ -429,7 +431,7 @@ def test_removal_refuses_an_inconsistent_end_node(fault):
     # whose node path is shorter than its itemset
     eng = MinerEngine()
     eng.shift_add(1, (0, 1))
-    rec = next(r for cid, r in eng.store.records.items() if cid != 0)
+    rec = eng.store.records[(0, 1)]
     eng.trie.reset()
     node_0 = add_child(eng.trie, eng.trie.root, 0)
     n = add_child(eng.trie, node_0, 1)
@@ -525,7 +527,7 @@ def test_stored_itemsets_match_the_referee_after_evictions():
                 obsolete += len(rep.obsolete)
     assert obsolete > 0
     db = window_db(driver.buffer)
-    live = [rec for cid, rec in driver.engine.store.records.items() if cid != 0]
+    live = list(driver.engine.store.records.values())
     for rec in live:
         assert oracle.closure(db, rec.itemset) == frozenset(rec.itemset)
         assert rec.support == len(oracle.support_tids(db, rec.itemset))
@@ -567,7 +569,7 @@ def test_closure_picks_max_support_superset_in_any_order(stream, query):
     for order in itertools.permutations(query):
         rec = eng.closure_record(order)
         assert rec.support == len(oracle.support_tids(db, query))
-        assert frozenset(materialize_itemset(eng.store, eng.index, rec.id)) == want
+        assert frozenset(materialize_itemset(eng.store, eng.index, rec)) == want
 
 
 def test_closure_of_fully_evicted_item_is_none():
@@ -594,3 +596,46 @@ def test_closure_query_normalization():
     assert eng.closure_record([99]) is None
     assert eng.closure_record([0, 99]) is None
     assert eng.closure_record([]) is None
+
+
+def test_closure_probe_and_scan_agree_with_the_referee():
+    # every 1-3 item subset of every window transaction, at several points
+    # of a sliding stream with evictions: the closure and its support must
+    # be the referee's whether the store probe or the list scan answers
+    driver = StreamDriver(WindowConfig(capacity=25, mode="sliding"))
+    eng = driver.engine
+    probed = scanned = obsolete = 0
+    for n, items in enumerate(random_stream(random.Random(9090), 10, 200, max_len=6), 1):
+        removed, _ = driver.push_ids(items)
+        if removed is not None:
+            obsolete += len(removed.obsolete)
+        if n % 20:
+            continue
+        db = window_db(driver.buffer)
+        queries = {q for t in db.values() for k in (1, 2, 3)
+                   for q in itertools.combinations(sorted(t), k)}
+        for q in sorted(queries):
+            if q in eng.store.records:
+                probed += 1
+            else:
+                scanned += 1
+            rec = eng.closure_record(q[::-1])
+            assert frozenset(rec.itemset) == oracle.closure(db, q)
+            assert rec.support == len(oracle.support_tids(db, q))
+        alphabet = sorted(set().union(*db.values()))
+        for q in itertools.combinations(alphabet, 2):
+            if not oracle.support_tids(db, q):
+                assert eng.closure_record(q) is None
+    assert obsolete > 0
+    assert probed > 0 and scanned > 0, (probed, scanned)
+
+
+def test_closure_of_a_live_ci_is_its_own_record():
+    driver = StreamDriver(WindowConfig(capacity=15, mode="sliding"))
+    for items in random_stream(random.Random(77), 9, 120, max_len=6):
+        driver.push_ids(items)
+    eng = driver.engine
+    assert eng.store.live_count > 20
+    for itemset, rec in eng.store.records.items():
+        assert eng.closure_record(itemset) is rec
+        assert eng.closure_record(reversed(itemset)) is rec

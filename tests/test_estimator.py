@@ -109,6 +109,35 @@ def test_discover_min_support_override():
     assert dict(miner.discover(min_support=1)) == TABLE2
 
 
+@pytest.mark.parametrize("min_support", [2.7, True, "x", None])
+def test_min_support_that_is_not_an_int_is_refused(min_support):
+    # 2.7 used to emit at 2 and up, and "x" was accepted by fit and failed
+    # only in discover
+    miner = ClosedItemsetStreamMiner(min_support=min_support)
+    with pytest.raises(TypeError, match="min_support must be an int"):
+        miner.fit(TABLE1)
+    with pytest.raises(TypeError, match="min_support must be an int"):
+        miner.partial_fit(TABLE1)
+    assert not hasattr(miner, "driver_")
+    fitted = ClosedItemsetStreamMiner().fit(TABLE1)
+    driver = fitted.driver_
+    if min_support is not None:  # None asks discover for the constructor value
+        with pytest.raises(TypeError, match="min_support must be an int"):
+            fitted.discover(min_support=min_support)
+    fitted.set_params(min_support=min_support)
+    with pytest.raises(TypeError, match="min_support must be an int"):
+        fitted.discover()
+    with pytest.raises(TypeError, match="min_support must be an int"):
+        fitted.fit(TABLE1[:2])
+    assert fitted.driver_ is driver and fitted.n_seen_ == len(TABLE1)
+
+
+def test_min_support_below_one_acts_as_one():
+    miner = ClosedItemsetStreamMiner(min_support=-4).fit(TABLE1)
+    assert dict(miner.discover()) == TABLE2
+    assert dict(miner.discover(0)) == TABLE2
+
+
 def test_transform_maps_to_closures():
     miner = ClosedItemsetStreamMiner().fit(TABLE1[:9])
     got = miner.transform([["h"], ["a", "b"], ["c", "g", "h"], ["z"], []])

@@ -52,11 +52,13 @@ def test_round_trip_restores_records(stream, extra):
     eng = MinerEngine()
     for tid, t in enumerate(stream):
         eng.shift_add(tid, tuple(sorted(t)))
-    before = {cid: (rec.support, rec.size) for cid, rec in eng.store.records.items()}
+    before = {rec.id: (rec.itemset, rec.support, rec.size)
+              for rec in eng.store.records.values()}
     snap = eng.snapshot(1)
     eng.shift_add(10_000, tuple(sorted(extra)))
     eng.shift_remove(10_000, tuple(sorted(extra)))
-    after = {cid: (rec.support, rec.size) for cid, rec in eng.store.records.items()}
+    after = {rec.id: (rec.itemset, rec.support, rec.size)
+             for rec in eng.store.records.values()}
     assert before == after
     assert snap == eng.snapshot(1)
     eng.check_invariants()
@@ -95,7 +97,8 @@ def test_end_nodes_spell_the_work_set(stream, t_new):
     # a CI was routed this shift exactly when its cursor is a node of the
     # current trie, and the nodes routed CIs end on are the end nodes
     in_trie = {id(n) for n in eng.trie.nodes}
-    routed_ends = {id(rec.cursor) for rec in eng.store.records.values()
+    routed_ends = {id(rec.cursor)
+                   for rec in (eng.store.universe, *eng.store.records.values())
                    if id(rec.cursor) in in_trie}
     assert routed_ends == {id(n) for n in end_nodes(eng.trie)}
 
@@ -115,7 +118,7 @@ def test_end_node_top_is_the_class_closure(stream, t_new):
             assert top.id == 0  # only the bootstrap class reaches here
             continue
         assert top.id != 0
-        got = frozenset(materialize_itemset(eng.store, eng.index, top.id))
+        got = frozenset(materialize_itemset(eng.store, eng.index, top))
         assert got == oracle.closure(db, path)
 
 
@@ -136,7 +139,8 @@ def test_end_node_keeps_its_top_and_the_next_best_support(stream, capacity):
         shifts.append(("add", tid, items))
         window.append((tid, items))
         for kind, stid, sitems in shifts:
-            before = [(rec, rec.support) for rec in eng.store.records.values()]
+            before = [(rec, rec.support)
+                      for rec in (eng.store.universe, *eng.store.records.values())]
             if kind == "add":
                 eng.shift_add(stid, sitems)
             else:

@@ -4,6 +4,7 @@ import pytest
 
 from streamclose.store import (
     INFINITE_SIZE,
+    CIRecord,
     CIStore,
     InvertedIndex,
     ItemDictionary,
@@ -11,7 +12,7 @@ from streamclose.store import (
     materialize_itemset,
     snapshot,
 )
-from conftest import TABLE1, TABLE2, landmark_driver, token_family
+from conftest import TABLE1, TABLE2, landmark_driver, record_of, token_family
 
 
 # ---------------------------------------------------------------------------
@@ -81,30 +82,30 @@ def test_bootstrap_record_shape():
     assert store.universe.id == 0
     assert store.universe.support == 0
     assert store.universe.size == INFINITE_SIZE
+    assert store.records == {} and store.live_count == 0
     with pytest.raises(ValueError):
-        store.remove(0)
+        store.remove(store.universe)
 
 
 def test_materialize_table2_ci16():
     store, index, d = build_table2_state()
-    items = materialize_itemset(store, index, 16)
+    items = materialize_itemset(store, index, record_of(store, 16))
     assert tuple(d.token(a) for a in items) == ("b", "c")
 
 
 def test_materialize_singleton():
     store, index, d = build_table2_state()
-    g_id = next(cid for cid in store.records
-                if cid != 0 and store.records[cid].size == 1
-                and materialize_itemset(store, index, cid) == (d.intern("g"),))
-    assert materialize_itemset(store, index, g_id) == (d.intern("g"),)
+    g = store.records[(d.intern("g"),)]
+    assert g.size == 1
+    assert materialize_itemset(store, index, g) == (d.intern("g"),)
 
 
 def test_materialize_unknown_and_bootstrap():
     store, index, _ = build_table2_state()
     with pytest.raises(KeyError):
-        materialize_itemset(store, index, 999)
+        materialize_itemset(store, index, CIRecord(999, 1, 2, (0, 5)))
     with pytest.raises(ValueError):
-        materialize_itemset(store, index, 0)
+        materialize_itemset(store, index, store.universe)
 
 
 def test_materialize_after_removal_is_lookup_error():
@@ -114,21 +115,52 @@ def test_materialize_after_removal_is_lookup_error():
     eng = driver.engine
     d = driver.dictionary
     gh = tuple(d.intern(t) for t in "gh")
-    gh_id = next(cid for cid in eng.store.records
-                 if cid != 0 and eng.store.records[cid].size == 2
-                 and materialize_itemset(eng.store, eng.index, cid) == gh)
+    gh_rec = eng.store.records[gh]
+    assert materialize_itemset(eng.store, eng.index, gh_rec) == gh
     tid, items = driver.buffer.pop()
     report = eng.shift_remove(tid, items)
-    assert gh_id in {cid for cid, _ in report.obsolete}
+    assert gh_rec.id in {cid for cid, _ in report.obsolete}
+    assert gh not in eng.store.records
     with pytest.raises(KeyError):
-        materialize_itemset(eng.store, eng.index, gh_id)
+        materialize_itemset(eng.store, eng.index, gh_rec)
+
+
+def test_new_ci_refuses_a_live_itemset():
+    store = CIStore()
+    first = store.new_ci(1, (0, 1))
+    with pytest.raises(AssertionError, match="already a live CI"):
+        store.new_ci(2, (0, 1))
+    assert store.records == {(0, 1): first} and store.next_id == 2
+
+
+def test_materialize_refuses_a_removed_record_whose_itemset_is_live_again():
+    # the store keys records by itemset, so a dead record must be told from
+    # the live one that took its key
+    store, index = CIStore(), InvertedIndex()
+    old = store.new_ci(1, (0, 1))
+    index.add(old, old.itemset)
+    index.remove(old, old.itemset)
+    store.remove(old)
+    with pytest.raises(KeyError):
+        materialize_itemset(store, index, old)
+    with pytest.raises(KeyError):
+        store.remove(old)
+    new = store.new_ci(1, (0, 1))
+    index.add(new, new.itemset)
+    with pytest.raises(KeyError):
+        materialize_itemset(store, index, old)
+    with pytest.raises(KeyError):
+        store.remove(old)
+    assert store.records[(0, 1)] is new
+    assert materialize_itemset(store, index, new) == (0, 1)
 
 
 def test_index_removal_leaves_other_records():
-    store, index = CIStore(), InvertedIndex()
-    a = store.new_ci(1, (0, 1))
-    b = store.new_ci(2, (0, 2))
-    c = store.new_ci(1, (0, 1))
+    # the index does not consult the store, so two records may share items
+    index = InvertedIndex()
+    a = CIRecord(1, 1, 2, (0, 1))
+    b = CIRecord(2, 2, 2, (0, 2))
+    c = CIRecord(3, 1, 2, (0, 1))
     index.add(a, a.itemset)
     index.add(b, b.itemset)
     index.add(c, c.itemset)
@@ -189,28 +221,45 @@ def test_snapshot_is_sorted_lexicographically():
 def test_store_invariants_catch_drift():
     store, index, _ = build_table2_state()
     check_store_invariants(store, index)
-    store.records[16].size = 3  # lie about bc's size
+    record_of(store, 16).size = 3  # lie about bc's size
     with pytest.raises(AssertionError):
+        check_store_invariants(store, index)
+
+
+def test_store_invariants_catch_a_misfiled_record():
+    store, index, d = build_table2_state()
+    check_store_invariants(store, index)
+    rec = record_of(store, 16)  # bc, filed under bd instead
+    del store.records[rec.itemset]
+    store.records[(d.intern("b"), d.intern("d"))] = rec
+    with pytest.raises(AssertionError, match="filed under"):
+        check_store_invariants(store, index)
+
+
+def test_store_invariants_catch_the_bootstrap_among_the_live_records():
+    store, index, _ = build_table2_state()
+    store.records[(0, 1, 2)] = store.universe
+    with pytest.raises(AssertionError, match="bootstrap"):
         check_store_invariants(store, index)
 
 
 def test_materialize_returns_the_stored_tuple():
     store, index, _ = build_table2_state()
-    rec = store.records[16]
-    assert materialize_itemset(store, index, 16) is rec.itemset
+    rec = record_of(store, 16)
+    assert materialize_itemset(store, index, rec) is rec.itemset
 
 
 def test_materialize_catches_a_record_missing_from_a_list():
     store, index, _ = build_table2_state()
-    rec = store.records[16]
+    rec = record_of(store, 16)
     del index.lists[rec.itemset[0]][rec]
     with pytest.raises(AssertionError):
-        materialize_itemset(store, index, 16)
+        materialize_itemset(store, index, rec)
 
 
 def test_store_invariants_catch_a_missing_list_entry():
     store, index, _ = build_table2_state()
-    rec = store.records[16]
+    rec = record_of(store, 16)
     del index.lists[rec.itemset[-1]][rec]
     index.entry_count -= 1
     rec.size -= 1  # keep every count consistent: only membership is wrong
@@ -220,7 +269,7 @@ def test_store_invariants_catch_a_missing_list_entry():
 
 def test_store_invariants_catch_an_extra_list_entry():
     store, index, d = build_table2_state()
-    rec = store.records[16]  # bc
+    rec = record_of(store, 16)  # bc
     index.lists[d.intern("a")][rec] = None
     index.entry_count += 1
     rec.size += 1
@@ -230,8 +279,10 @@ def test_store_invariants_catch_an_extra_list_entry():
 
 def test_store_invariants_catch_an_altered_itemset():
     store, index, d = build_table2_state()
-    rec = store.records[16]  # bc
+    rec = record_of(store, 16)  # bc
+    del store.records[rec.itemset]
     rec.itemset = (d.intern("b"), d.intern("d"))
+    store.records[rec.itemset] = rec  # filed under its new itemset: only the lists disagree
     with pytest.raises(AssertionError, match="stored itemset"):
         check_store_invariants(store, index)
 

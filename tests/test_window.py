@@ -178,3 +178,16 @@ def test_push_rejects_bool_tokens():
     with pytest.raises(TypeError, match="got bool"):
         driver.push([True, "a"])
     assert driver.snapshot() == [((1, "b"), 1)]
+
+
+def test_snapshot_translates_known_ids_and_passes_the_rest_through():
+    # a row whose ids all have tokens is translated whole; a row holding an
+    # id from push_ids that was never interned, below 0 or past the
+    # dictionary, keeps that id as it is and translates the others
+    driver = StreamDriver(WindowConfig(mode="landmark"))
+    driver.push(["a", "b", "c"])
+    driver.push_ids((1, 7))
+    driver.push_ids((-3, 0, 2))
+    assert driver.snapshot() == [
+        ((-3, "a", "c"), 1), (("a", "b", "c"), 1), (("a", "c"), 2),
+        (("b",), 2), (("b", 7), 1)]
