@@ -3,20 +3,20 @@
 A shift processes one transaction t against the stored CI family in three
 phases:
 
-  1. Routing.  Items of t are visited in ascending id order; for each item,
-     every CI in its inverted list advances its cursor one trie node, so the
-     cursor traces the CI's growing intersection with t.  The bootstrap
-     record (id 0) is an implicit member of every list and walks the whole
-     itemset, which guarantees the full itemset of t always ends on a node
-     of its own.  One loop serves both shift kinds and only moves cursors;
-     one settle loop over the routed CIs then gives the node each one ends
-     on its top CI, the top's support and the next-best support there.
-  2. Categorization.  Nodes that CIs end on (a top is set) are exactly the
-     complete intersections, and a node's top is its class closure, the
-     strict unique maximum among the CIs ending there.  On addition, a top
-     whose size is the node's depth marks a promotion, anything else a
-     creation.  On removal, a next-best support one unit below the top
-     certifies the node's CI obsolete; otherwise it is merely demoted.
+  1. Routing.  The path spelling t is laid first, its last node at support
+     0, so t always ends on a node of its own.  Then, item by item in
+     ascending id order, every CI in the item's inverted list advances its
+     cursor one trie node, tracing the CI's growing intersection with t.
+     One loop serves both shift kinds and only moves cursors; one settle
+     loop over the routed CIs then gives the node each one ends on its top
+     CI, the top's support and the next-best support there.
+  2. Categorization.  Nodes with a support are exactly the complete
+     intersections, and a node's top is its class closure, the strict
+     unique maximum among the CIs ending there (t's node has none when no
+     window transaction contains t).  On addition, a top whose size is the
+     node's depth marks a promotion, anything else a creation one above
+     the node's support.  On removal, a next-best support one unit below
+     the top certifies the node's CI obsolete; otherwise it is demoted.
   3. Store update.  Created CIs enter the inverted lists of their items
      and keep their itemset on their record; obsolete ones leave the store
      and every list their record names.
@@ -46,7 +46,7 @@ class ShiftReport:
     ``new_cis`` and ``promoted`` are filled by additions, ``obsolete`` and
     ``demoted`` by removals.  ``nodes_created`` counts the final trie's nodes
     including the root; ``entries_scanned`` counts every (item, CI) pairing
-    routed, bootstrap record included.
+    routed plus one step per item along t's own path.
     """
 
     kind: str
@@ -138,27 +138,26 @@ class MinerEngine:
     def _route(self, order) -> int:
         """Phase 1: build this shift's trie and settle its end nodes.
 
-        Returns the number of (item, CI) entries scanned, bootstrap record
-        included.  The per-entry loop only advances cursors; ``top``,
-        ``top_supp`` and ``next_supp`` are filled afterwards from the node
-        each routed CI ends on, bootstrap record first.
+        Returns the number of (item, CI) entries scanned plus one step per
+        item along t's own path.  The per-entry loop only advances cursors;
+        ``top``, ``top_supp`` and ``next_supp`` are filled afterwards from
+        the node each routed CI ends on.
         """
         trie = self.trie
         trie.reset()
         root = trie.root
         nodes_append = trie.nodes.append
 
-        # The bootstrap record is an implicit head of every inverted list;
-        # walking it up front creates the full-itemset path, all fresh nodes.
+        # t's own path comes first, all fresh nodes; its last node starts at
+        # support 0, so it is an end node even when no CI ends on it.
         prev = root
         for a in order:
             n = TrieNode(a, prev)
             nodes_append(n)
             prev.children = {a: n}
             prev = n
-        ci0 = self.store.universe
-        ci0.cursor = prev
-        routed = [ci0]
+        prev.top_supp = 0
+        routed = []
         routed_append = routed.append
 
         lists = self.index.lists
@@ -215,15 +214,16 @@ class MinerEngine:
         new_cis = report.new_cis
         promoted = report.promoted
         for n in nodes:
-            c = n.top
-            if c is None:
+            s = n.top_supp
+            if s < 0:
                 continue
-            if n.depth == c.size:
+            c = n.top
+            if c is not None and n.depth == c.size:
                 c.support += 1
                 promoted.append(c.id)
             else:
                 itemset = n.itemset()
-                rec = store.new_ci(c.support + 1, itemset)
+                rec = store.new_ci(s + 1, itemset)
                 index.add(rec, itemset)
                 new_cis.append((rec.id, itemset, rec.support))
         return report
@@ -233,21 +233,23 @@ class MinerEngine:
 
         Another CI ending on the end node one support unit below its lone
         top certifies the node's CI obsolete; otherwise the top is demoted.
+        t is in the window, so its own node must have a top.
         """
         report = ShiftReport("remove", tid, nodes_created=len(self.trie.nodes),
                              entries_scanned=entries_scanned)
         obsolete = report.obsolete
         demoted = report.demoted
         for n in self.trie.nodes:
+            if n.top_supp < 0:
+                continue
             x = n.top
             if x is None:
-                continue
+                raise AssertionError(
+                    f"end node {n.itemset()}: the removed transaction has no CI")
             if n.next_supp >= n.top_supp:
                 raise AssertionError(
                     f"end node {n.itemset()}: expected a lone top CI, but another "
                     f"CI ending there has support {n.next_supp} >= {n.top_supp}")
-            if x.id == 0:
-                raise AssertionError("bootstrap record surfaced as an end-node top")
             if n.next_supp == n.top_supp - 1:
                 obsolete.append((x.id, self.remove_ci(n, x)))
             else:

@@ -163,12 +163,14 @@ class ClosedItemsetStreamMiner:
         return self.driver_.snapshot(max(1, _check_min_support(ms)))
 
     def _lookup(self, tokens):
-        """Closure record for a token itemset, or None when unsupported."""
-        dictionary = self.driver_.dictionary
-        if not tokens or not all(tok in dictionary for tok in tokens):
+        """Closure record for validated ``tokens``, or None when unsupported.
+
+        One dictionary probe per token; an unknown token is in no transaction.
+        """
+        ids = list(map(self.driver_.dictionary._ids.get, tokens))
+        if not ids or None in ids:
             return None
-        return self.driver_.engine.closure_record(
-            dictionary.intern(tok) for tok in tokens)
+        return self.driver_.engine.closure_record(ids)
 
     def transform(self, X) -> list[tuple | None]:
         """Map each query itemset to its closure in the current window.
@@ -179,7 +181,7 @@ class ClosedItemsetStreamMiner:
         """
         self._require_fitted()
         engine = self.driver_.engine
-        dictionary = self.driver_.dictionary
+        tok = self.driver_.dictionary.tokens.__getitem__
         out = []
         for t in check_transactions(X):
             rec = self._lookup(t)
@@ -187,7 +189,7 @@ class ClosedItemsetStreamMiner:
                 out.append(None)
             else:
                 items = materialize_itemset(engine.store, engine.index, rec)
-                out.append(tuple(dictionary.token(a) for a in items))
+                out.append(tuple(map(tok, items)))
         return out
 
     def predict(self, X) -> list[int]:

@@ -15,11 +15,6 @@ while routing still iterates the list in a fixed order.
 The store files each live record under its itemset tuple.  It holds exactly
 the window's closed family, so a query equal to a key is closed and that
 record is its closure: one dict probe, no list walked.
-
-The bootstrap record (id 0) stands for the full item universe at support 0.
-It is kept apart from the live records as ``CIStore.universe``, is logically
-a member of every inverted list without being physically stored in any, and
-is never emitted or removed.
 """
 
 from __future__ import annotations
@@ -28,7 +23,14 @@ from operator import itemgetter
 
 from .trie import DETACHED
 
-INFINITE_SIZE = float("inf")
+
+def _check_token(token) -> None:
+    """Refuse an item token that is not a non-empty str or an int."""
+    # bool is an int that hashes like 0 or 1, so True would share 1's id
+    if token is True or token is False or not isinstance(token, (str, int)):
+        raise TypeError(f"item token must be str or int, got {type(token).__name__}")
+    if token == "":
+        raise ValueError("item token must be non-empty")
 
 
 class ItemDictionary:
@@ -40,11 +42,7 @@ class ItemDictionary:
 
     def intern(self, token) -> int:
         """Return the id for ``token``, allocating the next dense id if new."""
-        # bool is an int that hashes like 0 or 1, so True would share 1's id
-        if token is True or token is False or not isinstance(token, (str, int)):
-            raise TypeError(f"item token must be str or int, got {type(token).__name__}")
-        if token == "":
-            raise ValueError("item token must be non-empty")
+        _check_token(token)
         i = self._ids.get(token)
         if i is None:
             i = len(self.tokens)
@@ -58,9 +56,6 @@ class ItemDictionary:
     def __len__(self) -> int:
         return len(self.tokens)
 
-    def __contains__(self, token) -> bool:
-        return token in self._ids
-
 
 class CIRecord:
     """Bookkeeping for one closed itemset.
@@ -72,10 +67,10 @@ class CIRecord:
     shifts.
 
     ``itemset`` is the CI's ascending item-id tuple, the same items whose
-    inverted lists hold the record and its key in ``CIStore.records``; the
-    bootstrap record has None.  Keeping it here makes emission one pass over
-    the records and a closure's itemset one attribute read, instead of a
-    rebuild from the lists.
+    inverted lists hold the record and its key in ``CIStore.records``.
+    Keeping it here makes emission one pass over the records and a
+    closure's itemset one attribute read, instead of a rebuild from the
+    lists.  ``size`` is its length.
 
     Records key every inverted list, and CPython hashes them by address.
     With four slots a record fills a 64-byte block, so every record's hash
@@ -86,7 +81,7 @@ class CIRecord:
 
     __slots__ = ("id", "support", "size", "cursor", "itemset")
 
-    def __init__(self, ci_id: int, support: int, size, itemset: tuple | None = None):
+    def __init__(self, ci_id: int, support: int, size: int, itemset: tuple):
         self.id = ci_id
         self.support = support
         self.size = size
@@ -102,12 +97,11 @@ class CIStore:
 
     ``records`` maps each live CI's ascending itemset tuple (the one on its
     record) to the record, so a closed query finds its record with one
-    probe.  The bootstrap record is not among them: it is ``universe``.  Ids
-    of removed CIs are never reused within a run.
+    probe.  Ids start at 1, and ids of removed CIs are never reused within a
+    run.
     """
 
     def __init__(self):
-        self.universe = CIRecord(0, 0, INFINITE_SIZE)
         self.records: dict[tuple, CIRecord] = {}
         self.next_id = 1
 
@@ -123,15 +117,13 @@ class CIStore:
         return rec
 
     def remove(self, record: CIRecord) -> None:
-        if record is self.universe:
-            raise ValueError("the bootstrap record cannot be removed")
         if self.records.get(record.itemset) is not record:
             raise KeyError(record.id)
         del self.records[record.itemset]
 
     @property
     def live_count(self) -> int:
-        """Number of live CIs, bootstrap record excluded."""
+        """Number of live CIs."""
         return len(self.records)
 
 
@@ -180,8 +172,6 @@ def materialize_itemset(store: CIStore, index: InvertedIndex, record: CIRecord) 
     the index on the way: the tuple's length must be the record's size and
     the record must sit in each of its items' lists, one O(1) probe per item.
     """
-    if record is store.universe:
-        raise ValueError("the bootstrap record has no materializable itemset")
     itemset = record.itemset
     if store.records.get(itemset) is not record:
         raise KeyError(record.id)
@@ -234,14 +224,7 @@ def check_store_invariants(store: CIStore, index: InvertedIndex) -> None:
             total += 1
     if total != index.entry_count:
         raise AssertionError(f"entry_count {index.entry_count} != actual {total}")
-    u = store.universe
-    if u.id != 0 or u.support != 0 or u.size != INFINITE_SIZE or u.itemset is not None:
-        raise AssertionError("bootstrap record mutated")
-    if u in parts:
-        raise AssertionError("bootstrap record leaked into the index")
     for key, rec in store.records.items():
-        if rec is u:
-            raise AssertionError("bootstrap record filed among the live CIs")
         if key != rec.itemset:
             raise AssertionError(
                 f"CI {rec.id} filed under {key}, but its itemset is {rec.itemset}")

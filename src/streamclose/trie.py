@@ -7,18 +7,19 @@ the summary below is settled afterwards, once per routed CI, on the node
 that CI's cursor ends on:
 
   top        the best-supported CI ending on this node, None on a node no
-             CI ends on; a node with a top is an end node, and the end
-             nodes are exactly the complete intersections (the shift's
-             work set)
-  top_supp   the top's support
-  next_supp  the highest support among the other CIs ending on this node
+             CI ends on
+  top_supp   the top's support; routing starts it at 0 on t's own node
+  next_supp  the highest support among the other CIs ending on this node,
+             t's starting 0 included
 
-Both supports start at a sentinel low enough that the first arrival always
-wins and that no real top support minus one can equal it, so a node where
-one CI ends has no certifying runner-up.  An end node's top is its class
-closure, which out-supports every other CI ending there, so next_supp stays
-strictly below top_supp; the removal categorization reads only these three
-fields (see docs/algorithm.md).
+A node with a support is an end node, and the end nodes are exactly the
+complete intersections (the shift's work set).  Both supports start at a
+sentinel low enough that the first arrival always wins and that no real top
+support minus one can equal it, so a node where one CI ends has no
+certifying runner-up.  An end node's top is its class closure, which
+out-supports every other CI ending there, so next_supp stays strictly below
+top_supp; the removal categorization reads only these three fields (see
+docs/algorithm.md).
 
 The arena list is retained across shifts (cleared, not reallocated) and
 doubles as the deterministic traversal order: nodes appear in creation order
@@ -38,7 +39,7 @@ the shared, equally severed ``DETACHED`` node.
 
 from __future__ import annotations
 
-# Below every real support (the bootstrap record's is 0) by two, so the first
+# Below every real support (t's own node starts at 0) by two, so the first
 # arrival always wins and a top never sees it as a runner-up one unit below.
 SUPPORT_FLOOR = -2
 

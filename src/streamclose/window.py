@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .engine import MinerEngine, ShiftReport
-from .store import ItemDictionary
+from .store import ItemDictionary, _check_token
 
 SLIDING = "sliding"
 LANDMARK = "landmark"
@@ -80,9 +80,15 @@ class StreamDriver:
         self.next_tid = 0
 
     def push(self, tokens: Iterable) -> tuple[ShiftReport | None, ShiftReport]:
-        """Intern ``tokens`` and push the resulting itemset."""
-        items = sorted({self.dictionary.intern(t) for t in tokens})
-        return self.push_ids(items)
+        """Intern ``tokens`` and push the resulting itemset.
+
+        Every token is checked before any is interned, so a rejected one
+        leaves the dictionary as it was.
+        """
+        tokens = tuple(tokens)
+        for t in tokens:
+            _check_token(t)
+        return self.push_ids({self.dictionary.intern(t) for t in tokens})
 
     def evict(self) -> ShiftReport | None:
         """Evict the oldest transaction if the sliding window is full.

@@ -7,6 +7,7 @@ only the tests, so they live here rather than in the library.
 
 from __future__ import annotations
 
+import math
 import random
 from collections import defaultdict
 
@@ -107,9 +108,10 @@ def end_nodes(trie: Trie):
     """Nodes marking complete intersections, in creation order.
 
     Only meaningful once every item of the shifted transaction is routed
-    and the end nodes are settled.
+    and the end nodes are settled: a node with a support, which t's own
+    node has even when no CI ends on it.
     """
-    return [n for n in trie.nodes if n.top is not None]
+    return [n for n in trie.nodes if n.top_supp >= 0]
 
 
 def dump(trie: Trie) -> str:
@@ -210,18 +212,30 @@ def update_gen_dec(c, e: PassThrough) -> None:
         e.runners.append(c)
 
 
-def settle_from_table(table) -> None:
+def bootstrap_record() -> CIRecord:
+    """The paper's bootstrap record: the full item universe at support 0.
+
+    It is an implicit head of every inverted list, so it walks the whole
+    shifted transaction t.  The engine has no such record; it starts t's
+    own node at support 0 instead, and ``settle_from_table`` translates.
+    """
+    return CIRecord(0, 0, math.inf, None)
+
+
+def settle_from_table(table, ci0: CIRecord) -> None:
     """Fill the node fields the engine's categorization reads.
 
     An end node is one a cursor rests on.  Its next-best support is set one
     below the top exactly when a runner passes the cursor test (it ends on
     the node rather than passing through); a top list of more than one CI
-    makes the engine's lone-top check fire.
+    makes the engine's lone-top check fire.  Where the bootstrap record
+    ``ci0`` is the top, the node keeps its support 0 and no top, as the
+    engine leaves t's node when no CI ends on it.
     """
     for n, e in table.items():
         if n.parent is None or e.refs <= 0:
             continue
-        n.top = e.top[0]
+        n.top = None if e.top[0] is ci0 else e.top[0]
         n.top_supp = e.top_supp
         if len(e.top) != 1:
             n.next_supp = e.top_supp
@@ -232,9 +246,10 @@ def settle_from_table(table) -> None:
 def step_shift(eng: MinerEngine, tid, items, kind: str, table=None) -> ShiftReport:
     """Run one shift through the per-entry reference form.
 
-    Routes every (item, CI) entry through expand_path, then categorizes with
-    the engine's own update_cis_inc/update_cis_dec; pins the engine's
-    routing and settle loops to the paper's per-entry semantics.  Pass a
+    Routes the bootstrap record and every (item, CI) entry through
+    expand_path, then categorizes with the engine's own
+    update_cis_inc/update_cis_dec; pins the engine's routing and settle
+    loops to the paper's per-entry semantics.  Pass a
     ``defaultdict(PassThrough)`` as ``table`` to inspect the bookkeeping
     afterwards.
     """
@@ -252,14 +267,15 @@ def step_shift(eng: MinerEngine, tid, items, kind: str, table=None) -> ShiftRepo
     eng.trie.reset()
     if table is None:
         table = defaultdict(PassThrough)
+    ci0 = bootstrap_record()
     entries = 0
     for a in items:
-        expand_path(eng, table, eng.store.universe, a, kind)
+        expand_path(eng, table, ci0, a, kind)
         entries += 1
         for rec in list(eng.index.lists.get(a, ())):
             expand_path(eng, table, rec, a, kind)
             entries += 1
-    settle_from_table(table)
+    settle_from_table(table, ci0)
     if kind == "add":
         return eng.update_cis_inc(tid, entries)
     return eng.update_cis_dec(tid, entries)

@@ -139,7 +139,7 @@ def audit_shift(eng, kind, t_items, db_before, db_after, fam_before,
                 by_id_before, recs_before, report, k_m, l_m, pre_entries,
                 tally, where):
     """Audit one finished shift; ``recs_before`` lists the records live
-    before it, bootstrap included."""
+    before it."""
     t = frozenset(t_items)
 
     # --- criterion 7: exact work accounting and the node-count bound
@@ -189,32 +189,47 @@ def audit_shift(eng, kind, t_items, db_before, db_after, fam_before,
         tally.property_violations.append(f"{where}: a CI ends on a node with no top")
 
     def supp_before(rec):
-        return 0 if rec.id == 0 else fam_before[by_id_before[rec.id]]
+        return fam_before[by_id_before[rec.id]]
+
+    # t's own path is laid first: its node is an end node that starts at
+    # support 0, and it has no top exactly when no earlier transaction
+    # contains t
+    own = eng.trie.nodes[len(t)]
+    if frozenset(own.itemset()) != t:
+        tally.property_violations.append(f"{where}: t's own path is not laid first")
+    t_supported = any(t <= z for z in db_before.values())
+    if (own.top is None) == t_supported or (
+            own.top is None and (own.top_supp, own.next_supp) != (0, SUPPORT_FLOOR)):
+        tally.property_violations.append(
+            f"{where}: t's own node has top {own.top} at {own.top_supp}/"
+            f"{own.next_supp}, yet an earlier transaction contains t: {t_supported}")
 
     for path, n in ends.items():
         top = n.top
+        if top is None:
+            if n is not own:
+                tally.property_violations.append(
+                    f"{where}: end node {sorted(path)} other than t's has no top")
+            continue
         supported = any(path <= z for z in db_before.values())
-        if top.id == 0:
-            if supported:
-                tally.property_violations.append(
-                    f"{where}: bootstrap top on a supported path {sorted(path)}")
-        else:
-            want = oracle.closure(db_before, path) if supported else None
-            if by_id_before.get(top.id) != want:
-                tally.property_violations.append(
-                    f"{where}: top of {sorted(path)} is not the class closure")
+        want = oracle.closure(db_before, path) if supported else None
+        if by_id_before.get(top.id) != want:
+            tally.property_violations.append(
+                f"{where}: top of {sorted(path)} is not the class closure")
         # the other CIs ending on n: none in the work set, at most one (on
         # removal) one support unit below the path, and the best of their
-        # pre-shift supports is next_supp
+        # pre-shift supports (and t's starting 0 on its own node) is next_supp
         top_supp = supp_before(top)
         if top.cursor is not n or top_supp != n.top_supp:
             tally.property_violations.append(
                 f"{where}: top of {sorted(path)} does not end there at its support")
         others = [g for g in enders.get(n, ()) if g is not top]
-        if any(g.id != 0 and by_id_before[g.id] in delta for g in others):
+        if any(by_id_before[g.id] in delta for g in others):
             tally.property_violations.append(
                 f"{where}: a work-set CI ends on {sorted(path)} under another top")
         sigmas = [supp_before(g) for g in others]
+        if n is own:
+            sigmas.append(0)
         if kind == "remove" and sigmas.count(top_supp - 1) > 1:
             tally.property_violations.append(
                 f"{where}: {sigmas.count(top_supp - 1)} certifying runner-ups at "
@@ -260,7 +275,7 @@ def fuzz() -> FuzzTally:
                 db_before[otid] = frozenset(oitems)
                 l_m = eng.store.live_count
                 pre = len(oitems) + sum(scan_length(eng.index, a) for a in oitems)
-                recs = [eng.store.universe, *eng.store.records.values()]
+                recs = list(eng.store.records.values())
                 rep = eng.shift_remove(otid, oitems)
                 tally.shifts += 1
                 db_after = {j: frozenset(x) for j, x in window}
@@ -270,7 +285,7 @@ def fuzz() -> FuzzTally:
             db_before = {j: frozenset(x) for j, x in window}
             l_m = eng.store.live_count
             pre = len(items) + sum(scan_length(eng.index, a) for a in items)
-            recs = [eng.store.universe, *eng.store.records.values()]
+            recs = list(eng.store.records.values())
             rep = eng.shift_add(tid, items)
             tally.shifts += 1
             window.append((tid, items))

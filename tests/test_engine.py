@@ -15,8 +15,10 @@ from conftest import (
     TABLE3,
     PassThrough,
     add_child,
+    bootstrap_record,
     child,
     dump,
+    end_nodes,
     expand_path,
     ids_family,
     landmark_driver,
@@ -324,8 +326,9 @@ def test_expand_path_walks_bc(table3_driver):
     assert materialize_itemset(eng.store, eng.index, bc) == (b, c)
     eng.trie.reset()
     table = defaultdict(PassThrough)
+    ci0 = bootstrap_record()
     for a in (b, c):
-        expand_path(eng, table, eng.store.universe, a, "add")
+        expand_path(eng, table, ci0, a, "add")
         for rec in list(eng.index.lists.get(a, ())):
             expand_path(eng, table, rec, a, "add")
         if a == b:
@@ -354,15 +357,34 @@ def test_untouched_ci_keeps_stale_cursor(table3_driver):
     assert d_rec.cursor.children is None  # severed by the trie reset
 
 
-def test_bootstrap_record_walks_full_path(table3_driver):
+def test_own_path_is_laid_first_and_ends_on_an_end_node(table3_driver):
     driver = table3_driver
     eng = driver.engine
     driver.push(TABLE1[9])
-    ci0 = eng.store.universe
-    assert in_current_trie(eng, ci0.cursor)
-    assert ci0.cursor.depth == 4
-    assert tokens_of(driver, ci0.cursor.itemset()) == tuple("bcgh")
-    assert ci0.cursor.top is not None  # t's full itemset is an end node
+    # root, then t's own path, before any CI is routed
+    own = eng.trie.nodes[4]
+    assert [n.depth for n in eng.trie.nodes[:5]] == [0, 1, 2, 3, 4]
+    assert tokens_of(driver, own.itemset()) == tuple("bcgh")
+    assert own in end_nodes(eng.trie)
+    # abcdefgh ends on bcgh over the node's starting support 0
+    assert tokens_of(driver, own.top.itemset) == tuple("abcdefgh")
+    assert own.top_supp == 1 and own.next_supp == 0
+    assert eng.store.records[own.itemset()].support == 2
+
+
+def test_own_node_without_a_containing_transaction_has_no_top():
+    eng = MinerEngine()
+    eng.shift_add(1, (0, 1, 2))
+    report = eng.shift_add(2, (1, 3))
+    own = eng.trie.nodes[2]
+    assert own.itemset() == (1, 3)
+    # no earlier transaction contains 13, so no CI ends on its node, which
+    # is still an end node at support 0 and yields a CI at support 1
+    assert own.top is None and own.top_supp == 0
+    assert own in end_nodes(eng.trie)
+    assert sorted((i, s) for _, i, s in report.new_cis) == [((1,), 2), ((1, 3), 1)]
+    assert ids_family(eng) == {frozenset((0, 1, 2)): 1, frozenset((1, 3)): 1,
+                               frozenset((1,)): 2}
 
 
 def test_new_record_cursor_is_detached():
@@ -377,13 +399,13 @@ def test_new_record_cursor_is_detached():
 
 def test_update_gen_inc_cases():
     n = PassThrough()
-    c1 = CIRecord(1, 3, 2)
+    c1 = CIRecord(1, 3, 2, (0, 1))
     update_gen_inc(c1, n)
     assert n.top == [c1] and n.top_supp == 3
-    c2 = CIRecord(2, 5, 2)
+    c2 = CIRecord(2, 5, 2, (0, 2))
     update_gen_inc(c2, n)
     assert n.top == [c2] and n.top_supp == 5
-    c3 = CIRecord(3, 5, 1)
+    c3 = CIRecord(3, 5, 1, (0,))
     update_gen_inc(c3, n)  # ties do not displace
     assert n.top == [c2]
 
@@ -404,31 +426,31 @@ def test_update_gen_inc_tracks_class_closure(table3_driver):
 
 def test_update_gen_dec_four_cases():
     n = PassThrough()
-    c_first = CIRecord(1, 2, 2)
+    c_first = CIRecord(1, 2, 2, (0, 1))
     update_gen_dec(c_first, n)  # sentinel forces the flush branch
     assert n.top == [c_first] and n.runners == [] and n.top_supp == 2
-    c_low = CIRecord(2, 1, 3)
+    c_low = CIRecord(2, 1, 3, (0, 1, 2))
     update_gen_dec(c_low, n)    # one below: joins runners
     assert n.runners == [c_low]
-    c_tie = CIRecord(3, 2, 4)
+    c_tie = CIRecord(3, 2, 4, (0, 1, 2, 3))
     update_gen_dec(c_tie, n)    # tie: joins top
     assert n.top == [c_first, c_tie]
-    c_up = CIRecord(4, 3, 1)
+    c_up = CIRecord(4, 3, 1, (1,))
     update_gen_dec(c_up, n)     # one above: old top becomes the runners
     assert n.top == [c_up] and n.runners == [c_first, c_tie] and n.top_supp == 3
-    c_far = CIRecord(5, 1, 5)
+    c_far = CIRecord(5, 1, 5, (0, 1, 2, 3, 4))
     update_gen_dec(c_far, n)    # two or more below: ignored
     assert n.runners == [c_first, c_tie]
-    c_flush = CIRecord(6, 5, 1)
+    c_flush = CIRecord(6, 5, 1, (2,))
     update_gen_dec(c_flush, n)  # two or more above: flush both
     assert n.top == [c_flush] and n.runners == [] and n.top_supp == 5
 
 
-@pytest.mark.parametrize("fault", ["tie", "bootstrap", "depth"])
+@pytest.mark.parametrize("fault", ["tie", "no-top", "depth"])
 def test_removal_refuses_an_inconsistent_end_node(fault):
     # the categorization's own consistency checks: a top tied by another CI
-    # ending on its node, the bootstrap record on top, and an obsolete CI
-    # whose node path is shorter than its itemset
+    # ending on its node, an end node (t's own) that no CI ends on, and an
+    # obsolete CI whose node path is shorter than its itemset
     eng = MinerEngine()
     eng.shift_add(1, (0, 1))
     rec = eng.store.records[(0, 1)]
@@ -438,8 +460,8 @@ def test_removal_refuses_an_inconsistent_end_node(fault):
     n.top, n.top_supp = rec, rec.support
     if fault == "tie":
         n.next_supp, match = rec.support, "lone top"
-    elif fault == "bootstrap":
-        n.top, n.top_supp, match = eng.store.universe, 0, "bootstrap"
+    elif fault == "no-top":
+        n.top, n.top_supp, match = None, 0, "has no CI"
     else:
         n.top, n.top_supp = None, SUPPORT_FLOOR
         node_0.top, node_0.top_supp, node_0.next_supp = rec, 1, 0
@@ -538,7 +560,7 @@ def test_report_counters_match_list_lengths(table3_driver):
     driver = table3_driver
     eng = driver.engine
     d = driver.dictionary
-    expected = len(TABLE1[9])  # one bootstrap entry per item
+    expected = len(TABLE1[9])  # one step per item along t's own path
     for t in set(TABLE1[9]):
         expected += scan_length(eng.index, d.intern(t))
     _, report = driver.push(TABLE1[9])

@@ -233,7 +233,7 @@ def test_failed_shift_poisons_the_miner():
     miner.fit([["a", "b"], ["c"]])
     eng = miner.driver_.engine
     # drop the ab record from b's inverted list: evicting ab then leaves
-    # the full-itemset node to the bootstrap record alone, after the record
+    # the full-itemset node with no CI ending on it, after the record
     # ending on a has already been demoted
     b = miner.driver_.dictionary.intern("b")
     del eng.index.lists[b][next(iter(eng.index.lists[b]))]

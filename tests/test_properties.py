@@ -95,11 +95,12 @@ def test_end_nodes_spell_the_work_set(stream, t_new):
     non_root = [n for n in eng.trie.nodes if n.parent is not None]
     assert all(frozenset(n.itemset()) <= t_new for n in non_root)
     # a CI was routed this shift exactly when its cursor is a node of the
-    # current trie, and the nodes routed CIs end on are the end nodes
+    # current trie, and the nodes routed CIs end on, with t's own node, are
+    # the end nodes
     in_trie = {id(n) for n in eng.trie.nodes}
-    routed_ends = {id(rec.cursor)
-                   for rec in (eng.store.universe, *eng.store.records.values())
+    routed_ends = {id(rec.cursor) for rec in eng.store.records.values()
                    if id(rec.cursor) in in_trie}
+    routed_ends.add(id(eng.trie.nodes[len(t_new)]))
     assert routed_ends == {id(n) for n in end_nodes(eng.trie)}
 
 
@@ -115,9 +116,10 @@ def test_end_node_top_is_the_class_closure(stream, t_new):
         path = frozenset(n.itemset())
         top = n.top
         if not oracle.support_tids(db, path):
-            assert top.id == 0  # only the bootstrap class reaches here
+            # only t's own node reaches here, at its starting support
+            assert path == t_new
+            assert top is None and n.top_supp == 0
             continue
-        assert top.id != 0
         got = frozenset(materialize_itemset(eng.store, eng.index, top))
         assert got == oracle.closure(db, path)
 
@@ -127,8 +129,8 @@ def test_end_node_top_is_the_class_closure(stream, t_new):
 def test_end_node_keeps_its_top_and_the_next_best_support(stream, capacity):
     # for both shift kinds: at every end node the top ends there with
     # top_supp, next_supp stays below it, and next_supp is the best
-    # pre-shift support among the other records ending there, bootstrap
-    # record included
+    # pre-shift support among the other records ending there and t's own
+    # node's starting 0
     eng = MinerEngine()
     window = []
     for tid, t in enumerate(stream):
@@ -139,8 +141,7 @@ def test_end_node_keeps_its_top_and_the_next_best_support(stream, capacity):
         shifts.append(("add", tid, items))
         window.append((tid, items))
         for kind, stid, sitems in shifts:
-            before = [(rec, rec.support)
-                      for rec in (eng.store.universe, *eng.store.records.values())]
+            before = [(rec, rec.support) for rec in eng.store.records.values()]
             if kind == "add":
                 eng.shift_add(stid, sitems)
             else:
@@ -148,13 +149,22 @@ def test_end_node_keeps_its_top_and_the_next_best_support(stream, capacity):
             enders = {}
             for rec, supp in before:
                 enders.setdefault(rec.cursor, []).append((rec, supp))
+            own = eng.trie.nodes[len(sitems)]
             ends = end_nodes(eng.trie)
             in_trie = {id(m) for m in eng.trie.nodes}
-            assert {id(n) for n in ends} == {id(n) for n in enders if id(n) in in_trie}
+            assert {id(n) for n in ends} == \
+                {id(n) for n in enders if id(n) in in_trie} | {id(own)}
             for n in ends:
-                tops = [supp for rec, supp in enders[n] if rec is n.top]
+                mine = enders.get(n, [])
+                if n.top is None:
+                    assert n is own and mine == []
+                    assert n.top_supp == 0 and n.next_supp == SUPPORT_FLOOR
+                    continue
+                tops = [supp for rec, supp in mine if rec is n.top]
                 assert tops == [n.top_supp]
-                others = [supp for rec, supp in enders[n] if rec is not n.top]
+                others = [supp for rec, supp in mine if rec is not n.top]
+                if n is own:
+                    others.append(0)
                 assert n.next_supp < n.top_supp
                 assert n.next_supp == max(others, default=SUPPORT_FLOOR)
 

@@ -3,7 +3,6 @@
 import pytest
 
 from streamclose.store import (
-    INFINITE_SIZE,
     CIRecord,
     CIStore,
     InvertedIndex,
@@ -77,14 +76,12 @@ def build_table2_state():
     return store, index, d
 
 
-def test_bootstrap_record_shape():
+def test_fresh_store_holds_no_records():
     store = CIStore()
-    assert store.universe.id == 0
-    assert store.universe.support == 0
-    assert store.universe.size == INFINITE_SIZE
     assert store.records == {} and store.live_count == 0
-    with pytest.raises(ValueError):
-        store.remove(store.universe)
+    rec = store.new_ci(1, (0, 2))
+    assert rec.id == 1 and rec.size == 2 and rec.itemset == (0, 2)
+    assert store.records == {(0, 2): rec}
 
 
 def test_materialize_table2_ci16():
@@ -100,12 +97,10 @@ def test_materialize_singleton():
     assert materialize_itemset(store, index, g) == (d.intern("g"),)
 
 
-def test_materialize_unknown_and_bootstrap():
+def test_materialize_unknown_record():
     store, index, _ = build_table2_state()
     with pytest.raises(KeyError):
         materialize_itemset(store, index, CIRecord(999, 1, 2, (0, 5)))
-    with pytest.raises(ValueError):
-        materialize_itemset(store, index, store.universe)
 
 
 def test_materialize_after_removal_is_lookup_error():
@@ -236,10 +231,10 @@ def test_store_invariants_catch_a_misfiled_record():
         check_store_invariants(store, index)
 
 
-def test_store_invariants_catch_the_bootstrap_among_the_live_records():
+def test_store_invariants_catch_a_record_without_support():
     store, index, _ = build_table2_state()
-    store.records[(0, 1, 2)] = store.universe
-    with pytest.raises(AssertionError, match="bootstrap"):
+    record_of(store, 16).support = 0
+    with pytest.raises(AssertionError, match="has support 0"):
         check_store_invariants(store, index)
 
 

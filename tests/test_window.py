@@ -191,3 +191,55 @@ def test_snapshot_translates_known_ids_and_passes_the_rest_through():
     assert driver.snapshot() == [
         ((-3, "a", "c"), 1), (("a", "b", "c"), 1), (("a", "c"), 2),
         (("b",), 2), (("b", 7), 1)]
+
+
+@pytest.mark.parametrize("bad", [2.5, True, "", None])
+def test_rejected_push_interns_no_token(bad):
+    # "x" comes before the bad token, so checking while interning used to
+    # leave "x" in the dictionary after the push was refused
+    driver = StreamDriver(WindowConfig(capacity=2, mode="sliding"))
+    driver.push(["a", "b"])
+    driver.push(["b", "c"])
+
+    def state():
+        return (list(driver.dictionary.tokens), driver.next_tid,
+                list(driver.buffer), driver.snapshot())
+
+    before = state()
+    with pytest.raises((TypeError, ValueError)):
+        driver.push(["x", bad])
+    assert state() == before
+    driver.push(["x"])
+    assert driver.dictionary.tokens == ["a", "b", "c", "x"]
+
+
+def test_replay_rows_match_the_referee_classes():
+    # every stats row of a seeded sliding replay, refereed: the addition's
+    # counts are the sizes of classify_add's classes on the window the
+    # addition saw, the eviction's those of classify_remove, live_cis the
+    # referee family's size, and op says whether the push evicted
+    capacity = 12
+    stream = random_stream(random.Random(77), 10, 160, max_len=6)
+    stream[40:160:23] = [()] * len(stream[40:160:23])  # some empty baskets
+    driver = StreamDriver(WindowConfig(capacity=capacity, mode="sliding"))
+    db = {}
+    totals = dict.fromkeys(("new", "promoted", "obsolete", "demoted", "shift"), 0)
+    for items, row in zip(stream, replay(stream, driver)):
+        evicts = len(db) == capacity
+        assert row.op == ("shift" if evicts else "add")
+        if evicts:
+            old_tid = min(db)
+            gone = oracle.classify_remove(db, old_tid)
+            assert (row.obsolete, row.demoted) == (len(gone.obsolete), len(gone.demoted))
+            del db[old_tid]
+        else:
+            assert row.obsolete == row.demoted == 0
+        came = oracle.classify_add(db, items)
+        assert (row.new, row.promoted) == (len(came.new), len(came.promoted))
+        db[row.tid] = frozenset(items)
+        assert db == window_db(driver.buffer)
+        assert row.live_cis == len(oracle.closed_itemsets(db))
+        for k in ("new", "promoted", "obsolete", "demoted"):
+            totals[k] += getattr(row, k)
+        totals["shift"] += evicts
+    assert all(totals.values()), totals
