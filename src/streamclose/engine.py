@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from operator import attrgetter
 
-from .store import CIRecord, CIStore, InvertedIndex, check_store_invariants, snapshot
+from .store import CIRecord, CIStore, InvertedIndex, snapshot
 from .trie import Trie, TrieNode
 
 
@@ -312,9 +312,6 @@ class MinerEngine:
         for lst in found[1:]:
             common = filter(lst.__contains__, common)
         return max(common, key=attrgetter("support"), default=None)
-
-    def check_invariants(self) -> None:
-        check_store_invariants(self.store, self.index)
 
 
 def _check_order(order, items) -> tuple:

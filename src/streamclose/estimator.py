@@ -5,40 +5,21 @@ The class follows the scikit-learn parameter protocol (``get_params`` /
 cloned, grid-searched and composed without scikit-learn being a dependency.
 Streaming enters through ``fit`` / ``partial_fit`` / ``update``; results come
 out of ``discover``, ``transform`` and ``predict``.
+
+Each raw token is checked once by ``store.check_itemset``: ``fit`` and
+``partial_fit`` check the whole batch before they change anything,
+``update`` goes through ``StreamDriver.push``, and the read-only queries
+check each query as they reach it.
 """
 
 from __future__ import annotations
 
-from .store import materialize_itemset
+from .store import check_itemset, materialize_itemset
 from .window import LANDMARK, StreamDriver, WindowConfig
 
 
 class NotFittedError(ValueError):
     """Estimator used before fit/partial_fit."""
-
-
-def check_itemset(x, position=None) -> tuple:
-    """Validate one transaction: an iterable of str/int tokens.
-
-    Bare strings are rejected because iterating them silently splits into
-    characters, which is never what a caller meant.  ``bool`` tokens are
-    rejected because ``True`` equals ``1`` and would be counted as it.
-    """
-    where = "" if position is None else f" at position {position}"
-    if isinstance(x, (str, bytes)):
-        raise TypeError(
-            f"transaction{where} is a bare string; pass a sequence of tokens")
-    try:
-        tokens = tuple(x)
-    except TypeError:
-        raise TypeError(f"transaction{where} is not iterable") from None
-    for t in tokens:
-        if t is True or t is False or not isinstance(t, (str, int)):
-            raise TypeError(
-                f"token {t!r}{where} is {type(t).__name__}; tokens must be str or int")
-        if t == "":
-            raise ValueError(f"empty string token{where}")
-    return tokens
 
 
 def _check_min_support(ms) -> int:
@@ -48,11 +29,11 @@ def _check_min_support(ms) -> int:
     return ms
 
 
-def check_transactions(X) -> list[tuple]:
-    """Validate a transaction collection, returning token tuples."""
+def _transactions(X):
+    """``enumerate(X)`` for a transaction collection; a bare string is refused."""
     if isinstance(X, (str, bytes)):
         raise TypeError("X is a bare string; pass an iterable of transactions")
-    return [check_itemset(x, i) for i, x in enumerate(X)]
+    return enumerate(X)
 
 
 class ClosedItemsetStreamMiner:
@@ -126,27 +107,33 @@ class ClosedItemsetStreamMiner:
         return StreamDriver(WindowConfig(capacity=self.window_size, mode=self.mode))
 
     def fit(self, X, y=None) -> "ClosedItemsetStreamMiner":
-        """Reset state and consume ``X`` (an iterable of transactions)."""
+        """Reset state and consume ``X``; a refused ``X`` changes nothing."""
         _check_min_support(self.min_support)
+        batch = [check_itemset(x, i) for i, x in _transactions(X)]
         self.driver_ = self._make_driver()
         self.n_seen_ = 0
-        return self.partial_fit(X)
+        return self._consume(batch)
 
     def partial_fit(self, X, y=None) -> "ClosedItemsetStreamMiner":
-        """Consume more transactions without resetting."""
-        _check_min_support(self.min_support)
+        """Consume more transactions; a refused ``X`` changes nothing."""
         if not hasattr(self, "driver_"):
-            self.driver_ = self._make_driver()
-            self.n_seen_ = 0
-        for t in check_transactions(X):
-            self.driver_.push(t)
+            return self.fit(X)
+        _check_min_support(self.min_support)
+        return self._consume([check_itemset(x, i) for i, x in _transactions(X)])
+
+    def _consume(self, batch) -> "ClosedItemsetStreamMiner":
+        """Push checked token tuples without checking them again."""
+        push_ids = self.driver_.push_ids
+        intern = self.driver_.dictionary.intern
+        for tokens in batch:
+            push_ids(map(intern, tokens))
             self.n_seen_ += 1
         return self
 
     def update(self, transaction):
         """Push a single transaction; returns the (evict, add) shift reports."""
         self._require_fitted()
-        reports = self.driver_.push(check_itemset(transaction))
+        reports = self.driver_.push(transaction)
         self.n_seen_ += 1
         return reports
 
@@ -183,8 +170,8 @@ class ClosedItemsetStreamMiner:
         engine = self.driver_.engine
         tok = self.driver_.dictionary.tokens.__getitem__
         out = []
-        for t in check_transactions(X):
-            rec = self._lookup(t)
+        for i, x in _transactions(X):
+            rec = self._lookup(check_itemset(x, i))
             if rec is None:
                 out.append(None)
             else:
@@ -196,8 +183,8 @@ class ClosedItemsetStreamMiner:
         """Support of each query itemset in the current window (0 if none)."""
         self._require_fitted()
         out = []
-        for t in check_transactions(X):
-            rec = self._lookup(t)
+        for i, x in _transactions(X):
+            rec = self._lookup(check_itemset(x, i))
             out.append(rec.support if rec is not None else 0)
         return out
 

@@ -24,13 +24,29 @@ from operator import itemgetter
 from .trie import DETACHED
 
 
-def _check_token(token) -> None:
-    """Refuse an item token that is not a non-empty str or an int."""
-    # bool is an int that hashes like 0 or 1, so True would share 1's id
-    if token is True or token is False or not isinstance(token, (str, int)):
-        raise TypeError(f"item token must be str or int, got {type(token).__name__}")
-    if token == "":
-        raise ValueError("item token must be non-empty")
+def check_itemset(x, position=None) -> tuple:
+    """The one token rule: check a raw transaction, return its tokens.
+
+    A token is a non-empty ``str`` or an ``int``.  A bare string is refused
+    because iterating it splits it into characters; a ``bool`` because
+    ``True`` equals ``1`` and would share its id.  Each entry point that
+    takes raw tokens calls this once, before any token is interned.
+    """
+    where = "" if position is None else f" at position {position}"
+    if isinstance(x, (str, bytes)):
+        raise TypeError(
+            f"transaction{where} is a bare string; pass a sequence of tokens")
+    try:
+        tokens = tuple(x)
+    except TypeError:
+        raise TypeError(f"transaction{where} is not iterable") from None
+    for t in tokens:
+        if t is True or t is False or not isinstance(t, (str, int)):
+            raise TypeError(
+                f"token {t!r}{where} is {type(t).__name__}; tokens must be str or int")
+        if t == "":
+            raise ValueError(f"empty string token{where}")
+    return tokens
 
 
 class ItemDictionary:
@@ -41,8 +57,7 @@ class ItemDictionary:
         self.tokens: list = []  # id -> token; read it, never write it
 
     def intern(self, token) -> int:
-        """Return the id for ``token``, allocating the next dense id if new."""
-        _check_token(token)
+        """Id of an already-checked ``token``, allocating the next dense id if new."""
         i = self._ids.get(token)
         if i is None:
             i = len(self.tokens)
@@ -131,7 +146,8 @@ class InvertedIndex:
     """item id -> the CI records containing that item.
 
     Each list is a dict mapping record -> None, iterated in insertion order;
-    only the set of members carries meaning.
+    only the set of members carries meaning.  ``remove`` drops a list that
+    empties, since a dict keeps its peak-size table after deletes.
     """
 
     def __init__(self):
@@ -157,11 +173,14 @@ class InvertedIndex:
         lists = self.lists
         for a in items:
             try:
-                del lists[a][record]
+                lst = lists[a]
+                del lst[record]
             except KeyError:
                 raise AssertionError(
                     f"CI {record.id} missing from inverted list of item {a}"
                 ) from None
+            if not lst:
+                del lists[a]
         self.entry_count -= len(items)
 
 
@@ -206,42 +225,3 @@ def snapshot(store: CIStore, min_supp: int = 1) -> list[tuple[tuple, int]]:
     # Itemsets are unique, so the support never breaks a tie.
     rows.sort(key=itemgetter(0))
     return rows
-
-
-def check_store_invariants(store: CIStore, index: InvertedIndex) -> None:
-    """Raise AssertionError when the store and the index disagree.
-
-    Checks that every live record is filed under its own itemset, that the
-    itemset is exactly the set of items whose lists hold the record, that
-    its size matches, and the global entry count.  Meant for tests and
-    debugging, not the hot path.
-    """
-    parts: dict[CIRecord, list[int]] = {}
-    total = 0
-    for a, lst in index.lists.items():
-        for rec in lst:
-            parts.setdefault(rec, []).append(a)
-            total += 1
-    if total != index.entry_count:
-        raise AssertionError(f"entry_count {index.entry_count} != actual {total}")
-    for key, rec in store.records.items():
-        if key != rec.itemset:
-            raise AssertionError(
-                f"CI {rec.id} filed under {key}, but its itemset is {rec.itemset}")
-        if rec.support < 1:
-            raise AssertionError(f"CI {rec.id} has support {rec.support}")
-        items = sorted(parts.get(rec, ()))
-        if len(items) != rec.size:
-            raise AssertionError(
-                f"CI {rec.id}: size {rec.size} vs {len(items)} index entries"
-            )
-        if rec.itemset != tuple(items):
-            raise AssertionError(
-                f"CI {rec.id}: stored itemset {rec.itemset} vs index items {tuple(items)}"
-            )
-    expected = sum(rec.size for rec in store.records.values())
-    if expected != index.entry_count:
-        raise AssertionError("sum of sizes disagrees with index entry count")
-    for rec in parts:
-        if store.records.get(rec.itemset) is not rec:
-            raise AssertionError(f"index references dead CI {rec.id}")

@@ -7,6 +7,7 @@ one, so the buffer never exceeds its capacity; landmark mode never evicts.
 Evicted itemsets are taken from the buffer, which is the only place
 transaction contents survive between shifts.  Maintenance always tracks the
 full family; the emission threshold is an argument of ``snapshot`` only.
+Raw tokens enter through ``push``; ``push_ids`` takes interned ids.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .engine import MinerEngine, ShiftReport
-from .store import ItemDictionary, _check_token
+from .store import ItemDictionary, check_itemset
 
 SLIDING = "sliding"
 LANDMARK = "landmark"
@@ -80,15 +81,12 @@ class StreamDriver:
         self.next_tid = 0
 
     def push(self, tokens: Iterable) -> tuple[ShiftReport | None, ShiftReport]:
-        """Intern ``tokens`` and push the resulting itemset.
+        """Check raw ``tokens``, intern them and push the resulting itemset.
 
         Every token is checked before any is interned, so a rejected one
         leaves the dictionary as it was.
         """
-        tokens = tuple(tokens)
-        for t in tokens:
-            _check_token(t)
-        return self.push_ids({self.dictionary.intern(t) for t in tokens})
+        return self.push_ids(map(self.dictionary.intern, check_itemset(tokens)))
 
     def evict(self) -> ShiftReport | None:
         """Evict the oldest transaction if the sliding window is full.

@@ -1,8 +1,9 @@
 """Shared fixtures: the worked example dataset, golden families, helpers.
 
 The trie and index helpers here (child lookup, child creation, end nodes,
-the debug dump, list lengths) and the per-entry reference routing serve
-only the tests, so they live here rather than in the library.
+the debug dump, list lengths), the store-invariant check and the per-entry
+reference routing serve only the tests, so they live here rather than in
+the library.
 """
 
 from __future__ import annotations
@@ -136,6 +137,47 @@ def dump(trie: Trie) -> str:
 def scan_length(index: InvertedIndex, item) -> int:
     """Length of ``item``'s inverted list, 0 for an unseen item."""
     return len(index.lists.get(item, ()))
+
+
+def check_store_invariants(store: CIStore, index: InvertedIndex) -> None:
+    """Raise AssertionError when the store and the index disagree.
+
+    Checks that no inverted list is empty, that every live record is filed
+    under its own itemset, that the itemset is exactly the set of items
+    whose lists hold the record, that its size matches, and the global
+    entry count.
+    """
+    parts: dict[CIRecord, list[int]] = {}
+    total = 0
+    for a, lst in index.lists.items():
+        if not lst:
+            raise AssertionError(f"inverted list of item {a} is empty")
+        for rec in lst:
+            parts.setdefault(rec, []).append(a)
+            total += 1
+    if total != index.entry_count:
+        raise AssertionError(f"entry_count {index.entry_count} != actual {total}")
+    for key, rec in store.records.items():
+        if key != rec.itemset:
+            raise AssertionError(
+                f"CI {rec.id} filed under {key}, but its itemset is {rec.itemset}")
+        if rec.support < 1:
+            raise AssertionError(f"CI {rec.id} has support {rec.support}")
+        items = sorted(parts.get(rec, ()))
+        if len(items) != rec.size:
+            raise AssertionError(
+                f"CI {rec.id}: size {rec.size} vs {len(items)} index entries"
+            )
+        if rec.itemset != tuple(items):
+            raise AssertionError(
+                f"CI {rec.id}: stored itemset {rec.itemset} vs index items {tuple(items)}"
+            )
+    expected = sum(rec.size for rec in store.records.values())
+    if expected != index.entry_count:
+        raise AssertionError("sum of sizes disagrees with index entry count")
+    for rec in parts:
+        if store.records.get(rec.itemset) is not rec:
+            raise AssertionError(f"index references dead CI {rec.id}")
 
 
 class PassThrough:

@@ -20,6 +20,7 @@ from conftest import (
     TABLE1,
     TABLE2,
     TABLE3,
+    check_store_invariants,
     end_nodes,
     ids_family,
     landmark_driver,
@@ -248,7 +249,7 @@ def audit_shift(eng, kind, t_items, db_before, db_after, fam_before,
                 tally.property_violations.append(
                     f"{where}: new CI {sorted(x)} support {supp} != {want}")
 
-    eng.check_invariants()
+    check_store_invariants(eng.store, eng.index)
     return fam_after, by_id_after
 
 

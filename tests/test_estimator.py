@@ -5,7 +5,6 @@ import itertools
 import pytest
 
 from streamclose import ClosedItemsetStreamMiner, NotFittedError, oracle
-from streamclose.estimator import check_itemset, check_transactions
 from conftest import TABLE1, TABLE2, window_db
 
 
@@ -165,24 +164,85 @@ def test_queries_require_fit():
 
 
 def test_validation_rejects_bare_strings():
-    with pytest.raises(TypeError):
-        check_transactions("abc")
-    with pytest.raises(TypeError):
-        check_itemset("abc")
-    miner = ClosedItemsetStreamMiner()
-    with pytest.raises(TypeError):
+    # a bare string X would iterate as one-character transactions
+    miner = ClosedItemsetStreamMiner().fit([["a"]])
+    for call in (miner.fit, miner.partial_fit, miner.predict, miner.transform):
+        with pytest.raises(TypeError, match="X is a bare string"):
+            call("abc")
+    with pytest.raises(TypeError, match="at position 0 is a bare string"):
         miner.fit(["ab", "cd"])
+    assert miner.discover() == [(("a",), 1)]
 
 
-def test_validation_rejects_bad_tokens():
+# A bad transaction, the error it raises and a pattern its message matches.
+BAD_TRANSACTIONS = {
+    "str": ("xa", TypeError, "is a bare string"),
+    "bytes": (b"xa", TypeError, "is a bare string"),
+    "42": (42, TypeError, "is not iterable"),
+    "2.5": (["x", 2.5], TypeError, "is float"),
+    "True": (["x", True], TypeError, "is bool"),
+    "False": (["x", False], TypeError, "is bool"),
+    "empty": (["x", ""], ValueError, "empty string token"),
+    "None": (["x", None], TypeError, "is NoneType"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_TRANSACTIONS)
+def test_every_entry_point_applies_the_one_token_rule(case):
+    # The batch entry points see the bad transaction second, after one that
+    # would intern a new token.  Each raises the same error; the mutating
+    # ones change nothing, the dictionary included.
+    bad, error, pattern = BAD_TRANSACTIONS[case]
+    miner = ClosedItemsetStreamMiner(window_size=2, mode="sliding")
+    miner.fit([["a", "b"], ["b", "c"]])
+    driver = miner.driver_
+    entry_points = {
+        "StreamDriver.push": lambda: driver.push(bad),
+        "update": lambda: miner.update(bad),
+        "fit": lambda: miner.fit([["y"], bad]),
+        "partial_fit": lambda: miner.partial_fit([["y"], bad]),
+        "predict": lambda: miner.predict([["y"], bad]),
+        "transform": lambda: miner.transform([["y"], bad]),
+    }
+
+    def state():
+        return (miner.driver_, list(driver.dictionary.tokens), list(driver.buffer),
+                driver.next_tid, miner.n_seen_, miner.discover())
+
+    before = state()
+    messages = set()
+    for name, call in entry_points.items():
+        with pytest.raises(error, match=pattern) as exc:
+            call()
+        assert type(exc.value) is error, name
+        messages.add(str(exc.value).replace(" at position 1", ""))
+        assert state() == before, name
+    assert len(messages) == 1
+
+
+@pytest.mark.parametrize("method", ["fit", "partial_fit"])
+def test_a_refused_batch_changes_nothing(method):
+    # fit used to replace the driver before checking, and a refused first
+    # partial_fit left an unfitted miner holding a driver
+    batch = [["a", "y"], ["z"], ["b", 1.5]]
+    fitted = ClosedItemsetStreamMiner(window_size=2, mode="sliding").fit(TABLE1[:3])
+    driver = fitted.driver_
+
+    def state():
+        return fitted.n_seen_, list(driver.dictionary.tokens), fitted.discover()
+
+    before = state()
     with pytest.raises(TypeError):
-        check_itemset([1.5])
+        getattr(fitted, method)(batch)
+    assert fitted.driver_ is driver
+    assert state() == before
+
+    unfitted = ClosedItemsetStreamMiner(window_size=2, mode="sliding")
     with pytest.raises(TypeError):
-        check_itemset([False])
-    with pytest.raises(ValueError):
-        check_itemset([""])
-    with pytest.raises(TypeError):
-        check_itemset(42)
+        getattr(unfitted, method)(batch)
+    assert not hasattr(unfitted, "driver_") and not hasattr(unfitted, "n_seen_")
+    with pytest.raises(NotFittedError):
+        unfitted.discover()
 
 
 def test_bool_tokens_are_rejected():

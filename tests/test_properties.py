@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from streamclose import MinerEngine, StreamDriver, WindowConfig, oracle
 from streamclose.store import materialize_itemset
 from streamclose.trie import SUPPORT_FLOOR
-from conftest import end_nodes, ids_family, scan_length, window_db
+from conftest import check_store_invariants, end_nodes, ids_family, scan_length, window_db
 
 transactions = st.lists(
     st.frozensets(st.integers(0, 9), min_size=1, max_size=6),
@@ -32,7 +32,9 @@ def test_family_matches_referee_after_every_push(stream, capacity):
         driver.push_ids(tuple(sorted(t)))
         want = oracle.closed_itemsets(window_db(driver.buffer))
         assert ids_family(driver.engine) == want
-    driver.engine.check_invariants()
+        # an item keeps an inverted list only while a window transaction holds it
+        assert set(driver.engine.index.lists) == {a for _, items in driver.buffer for a in items}
+    check_store_invariants(driver.engine.store, driver.engine.index)
 
 
 @given(transactions, st.integers(1, 8))
@@ -61,7 +63,7 @@ def test_round_trip_restores_records(stream, extra):
              for rec in eng.store.records.values()}
     assert before == after
     assert snap == eng.snapshot(1)
-    eng.check_invariants()
+    check_store_invariants(eng.store, eng.index)
 
 
 @given(transactions, st.frozensets(st.integers(0, 9), min_size=1, max_size=6))

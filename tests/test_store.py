@@ -7,11 +7,17 @@ from streamclose.store import (
     CIStore,
     InvertedIndex,
     ItemDictionary,
-    check_store_invariants,
     materialize_itemset,
     snapshot,
 )
-from conftest import TABLE1, TABLE2, landmark_driver, record_of, token_family
+from conftest import (
+    TABLE1,
+    TABLE2,
+    check_store_invariants,
+    landmark_driver,
+    record_of,
+    token_family,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -35,16 +41,6 @@ def test_intern_alphabet_in_order():
     d = ItemDictionary()
     ids = [d.intern(t) for t in "abcdefgh"]
     assert ids == list(range(8))
-
-
-def test_intern_rejects_bad_tokens():
-    d = ItemDictionary()
-    with pytest.raises(ValueError):
-        d.intern("")
-    with pytest.raises(TypeError):
-        d.intern(3.5)
-    with pytest.raises(TypeError):
-        d.intern(True)
 
 
 def test_intern_int_tokens():
@@ -218,6 +214,13 @@ def test_store_invariants_catch_drift():
     check_store_invariants(store, index)
     record_of(store, 16).size = 3  # lie about bc's size
     with pytest.raises(AssertionError):
+        check_store_invariants(store, index)
+
+
+def test_store_invariants_catch_an_empty_list():
+    store, index, d = build_table2_state()
+    index.lists[d.intern("z")] = {}
+    with pytest.raises(AssertionError, match="is empty"):
         check_store_invariants(store, index)
 
 
