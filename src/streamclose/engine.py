@@ -33,7 +33,6 @@ later shift or query raises instead of answering from a half-applied shift.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import attrgetter
 
 from .store import CIRecord, CIStore, InvertedIndex, snapshot
 from .trie import Trie, TrieNode
@@ -289,9 +288,13 @@ class MinerEngine:
         probe.  Otherwise the CIs containing ``items`` are the members
         common to its items' inverted lists; the closure is the one among
         them with the query's own support, which no other common member
-        reaches, so it is the unique maximum.  That costs one C-level pass
-        over the shortest list, with an O(1) membership probe per further
-        item.
+        reaches, so it is the unique maximum.  One pass over the shortest
+        list finds it: a member is probed against the other lists, O(1)
+        each, only when its support beats the best so far.
+
+        Called right after a push, a lookup pays to bring its code and data
+        back into the processor's caches, so it uses only the loops and
+        dict probes a push runs: no sort, ``filter`` or key function.
         """
         self.check_usable()
         items = _normalize(items)
@@ -307,11 +310,21 @@ class MinerEngine:
             if not lst:
                 return None
             found.append(lst)
-        found.sort(key=len)
-        common = found[0]
-        for lst in found[1:]:
-            common = filter(lst.__contains__, common)
-        return max(common, key=attrgetter("support"), default=None)
+        shortest = found[0]
+        for lst in found:
+            if len(lst) < len(shortest):
+                shortest = lst
+        closure = None
+        support = 0
+        for c in shortest:
+            if c.support > support:
+                for lst in found:
+                    if c not in lst:
+                        break
+                else:
+                    closure = c
+                    support = c.support
+        return closure
 
 
 def _check_order(order, items) -> tuple:

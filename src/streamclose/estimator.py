@@ -10,6 +10,13 @@ Each raw token is checked once by ``store.check_itemset``: ``fit`` and
 ``partial_fit`` check the whole batch before they change anything,
 ``update`` goes through ``StreamDriver.push``, and the read-only queries
 check each query as they reach it.
+
+A query issued right after a push pays mostly to bring code and data the
+push did not touch back into the processor's caches, so ``predict`` and
+``transform`` use the plain loops, attribute reads and dict probes the
+push path runs, and create no iterator, bound method or key function.
+A check costs its test alone until it fails: the error message, naming the
+query's position, is built only then.
 """
 
 from __future__ import annotations
@@ -30,10 +37,25 @@ def _check_min_support(ms) -> int:
 
 
 def _transactions(X):
-    """``enumerate(X)`` for a transaction collection; a bare string is refused."""
+    """``X`` itself, a transaction collection; a bare string is refused."""
     if isinstance(X, (str, bytes)):
         raise TypeError("X is a bare string; pass an iterable of transactions")
-    return enumerate(X)
+    return X
+
+
+def _lookup(driver: StreamDriver, tokens):
+    """Closure record for checked ``tokens``, or None when unsupported.
+
+    One dictionary probe per token; an unknown token is in no transaction.
+    """
+    id_of = driver.dictionary._ids
+    ids = []
+    for t in tokens:
+        a = id_of.get(t)
+        if a is None:
+            return None
+        ids.append(a)
+    return driver.engine.closure_record(ids) if ids else None
 
 
 class ClosedItemsetStreamMiner:
@@ -109,7 +131,7 @@ class ClosedItemsetStreamMiner:
     def fit(self, X, y=None) -> "ClosedItemsetStreamMiner":
         """Reset state and consume ``X``; a refused ``X`` changes nothing."""
         _check_min_support(self.min_support)
-        batch = [check_itemset(x, i) for i, x in _transactions(X)]
+        batch = [check_itemset(x, i) for i, x in enumerate(_transactions(X))]
         self.driver_ = self._make_driver()
         self.n_seen_ = 0
         return self._consume(batch)
@@ -118,8 +140,10 @@ class ClosedItemsetStreamMiner:
         """Consume more transactions; a refused ``X`` changes nothing."""
         if not hasattr(self, "driver_"):
             return self.fit(X)
+        self.driver_.engine.check_usable()
         _check_min_support(self.min_support)
-        return self._consume([check_itemset(x, i) for i, x in _transactions(X)])
+        return self._consume(
+            [check_itemset(x, i) for i, x in enumerate(_transactions(X))])
 
     def _consume(self, batch) -> "ClosedItemsetStreamMiner":
         """Push checked token tuples without checking them again."""
@@ -132,8 +156,7 @@ class ClosedItemsetStreamMiner:
 
     def update(self, transaction):
         """Push a single transaction; returns the (evict, add) shift reports."""
-        self._require_fitted()
-        reports = self.driver_.push(transaction)
+        reports = self._require_fitted().push(transaction)
         self.n_seen_ += 1
         return reports
 
@@ -145,19 +168,9 @@ class ClosedItemsetStreamMiner:
         Filtered at ``min_support`` (defaulting to the constructor value),
         ordered deterministically.
         """
-        self._require_fitted()
+        driver = self._require_fitted()
         ms = self.min_support if min_support is None else min_support
-        return self.driver_.snapshot(max(1, _check_min_support(ms)))
-
-    def _lookup(self, tokens):
-        """Closure record for validated ``tokens``, or None when unsupported.
-
-        One dictionary probe per token; an unknown token is in no transaction.
-        """
-        ids = list(map(self.driver_.dictionary._ids.get, tokens))
-        if not ids or None in ids:
-            return None
-        return self.driver_.engine.closure_record(ids)
+        return driver.snapshot(max(1, _check_min_support(ms)))
 
     def transform(self, X) -> list[tuple | None]:
         """Map each query itemset to its closure in the current window.
@@ -166,31 +179,44 @@ class ClosedItemsetStreamMiner:
         transactions that contain the query.  Queries covered by no window
         transaction (and empty queries) map to None.
         """
-        self._require_fitted()
-        engine = self.driver_.engine
-        tok = self.driver_.dictionary.tokens.__getitem__
+        driver = self._require_fitted()
+        engine = driver.engine
+        tokens = driver.dictionary.tokens
         out = []
-        for i, x in _transactions(X):
-            rec = self._lookup(check_itemset(x, i))
+        i = 0
+        for x in _transactions(X):
+            rec = _lookup(driver, check_itemset(x, i))
             if rec is None:
                 out.append(None)
             else:
-                items = materialize_itemset(engine.store, engine.index, rec)
-                out.append(tuple(map(tok, items)))
+                closure = []
+                for a in materialize_itemset(engine.store, engine.index, rec):
+                    closure.append(tokens[a])
+                out.append(tuple(closure))
+            i += 1
         return out
 
     def predict(self, X) -> list[int]:
         """Support of each query itemset in the current window (0 if none)."""
-        self._require_fitted()
+        driver = self._require_fitted()
         out = []
-        for i, x in _transactions(X):
-            rec = self._lookup(check_itemset(x, i))
+        i = 0
+        for x in _transactions(X):
+            rec = _lookup(driver, check_itemset(x, i))
             out.append(rec.support if rec is not None else 0)
+            i += 1
         return out
 
-    def _require_fitted(self) -> None:
-        """Refuse use before fitting, and after a shift failed part-way."""
-        if not hasattr(self, "driver_"):
+    def _require_fitted(self) -> StreamDriver:
+        """The driver, once fitted and while usable.
+
+        Refuses use before fitting, and after a shift failed part-way.
+        """
+        try:
+            driver = self.driver_
+        except AttributeError:
             raise NotFittedError(
-                f"{type(self).__name__} has not been fitted; call fit or partial_fit")
-        self.driver_.engine.check_usable()
+                f"{type(self).__name__} has not been fitted; call fit or partial_fit"
+            ) from None
+        driver.engine.check_usable()
+        return driver

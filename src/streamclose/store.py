@@ -31,22 +31,34 @@ def check_itemset(x, position=None) -> tuple:
     because iterating it splits it into characters; a ``bool`` because
     ``True`` equals ``1`` and would share its id.  Each entry point that
     takes raw tokens calls this once, before any token is interned.
+
+    A plain ``str`` or ``int`` token passes on one type test; any other
+    token (a subclass, a ``bool``) takes the full rule.  The error message,
+    which names ``position`` when one is given, is built only when a check
+    fails.
     """
-    where = "" if position is None else f" at position {position}"
     if isinstance(x, (str, bytes)):
         raise TypeError(
-            f"transaction{where} is a bare string; pass a sequence of tokens")
+            f"transaction{_at(position)} is a bare string; pass a sequence of tokens")
     try:
         tokens = tuple(x)
     except TypeError:
-        raise TypeError(f"transaction{where} is not iterable") from None
+        raise TypeError(f"transaction{_at(position)} is not iterable") from None
     for t in tokens:
+        cls = type(t)
+        if cls is int or cls is str and t:
+            continue
         if t is True or t is False or not isinstance(t, (str, int)):
-            raise TypeError(
-                f"token {t!r}{where} is {type(t).__name__}; tokens must be str or int")
+            raise TypeError(f"token {t!r}{_at(position)} is {cls.__name__}; "
+                            "tokens must be str or int")
         if t == "":
-            raise ValueError(f"empty string token{where}")
+            raise ValueError(f"empty string token{_at(position)}")
     return tokens
+
+
+def _at(position) -> str:
+    """The " at position i" an error message ends with; empty without one."""
+    return "" if position is None else f" at position {position}"
 
 
 class ItemDictionary:

@@ -83,8 +83,8 @@ class StreamDriver:
     def push(self, tokens: Iterable) -> tuple[ShiftReport | None, ShiftReport]:
         """Check raw ``tokens``, intern them and push the resulting itemset.
 
-        Every token is checked before any is interned, so a rejected one
-        leaves the dictionary as it was.
+        Every token is checked, and the engine's usability too, before any
+        token is interned, so a rejected push leaves the dictionary as it was.
         """
         return self.push_ids(map(self.dictionary.intern, check_itemset(tokens)))
 
@@ -109,8 +109,11 @@ class StreamDriver:
         Returns the eviction report (None when nothing was evicted) and the
         addition report.  The new tid is checked before the eviction runs,
         and the buffer and tid counter change only after the engine accepted
-        a half, so a rejected push leaves the driver as it was.
+        a half, so a rejected push leaves the driver as it was.  An engine
+        left unusable by a failed shift refuses the push before ``items`` is
+        read, so a lazy ``map`` over ``intern`` interns nothing.
         """
+        self.engine.check_usable()
         items = tuple(sorted(set(items)))
         tid = self.next_tid
         if tid in self.engine.window_tids:

@@ -1,5 +1,6 @@
 """Estimator facade: parameter protocol, streaming, queries, validation."""
 
+import functools
 import itertools
 
 import pytest
@@ -174,50 +175,49 @@ def test_validation_rejects_bare_strings():
     assert miner.discover() == [(("a",), 1)]
 
 
-# A bad transaction, the error it raises and a pattern its message matches.
+# A bad transaction, the error it raises and its message, with "{at}" where
+# a batch entry point names the bad transaction's position.
 BAD_TRANSACTIONS = {
-    "str": ("xa", TypeError, "is a bare string"),
-    "bytes": (b"xa", TypeError, "is a bare string"),
-    "42": (42, TypeError, "is not iterable"),
-    "2.5": (["x", 2.5], TypeError, "is float"),
-    "True": (["x", True], TypeError, "is bool"),
-    "False": (["x", False], TypeError, "is bool"),
-    "empty": (["x", ""], ValueError, "empty string token"),
-    "None": (["x", None], TypeError, "is NoneType"),
+    "str": ("xa", TypeError, "transaction{at} is a bare string; pass a sequence of tokens"),
+    "bytes": (b"xa", TypeError, "transaction{at} is a bare string; pass a sequence of tokens"),
+    "42": (42, TypeError, "transaction{at} is not iterable"),
+    "2.5": (["x", 2.5], TypeError, "token 2.5{at} is float; tokens must be str or int"),
+    "True": (["x", True], TypeError, "token True{at} is bool; tokens must be str or int"),
+    "False": (["x", False], TypeError, "token False{at} is bool; tokens must be str or int"),
+    "empty": (["x", ""], ValueError, "empty string token{at}"),
+    "None": (["x", None], TypeError, "token None{at} is NoneType; tokens must be str or int"),
 }
 
 
 @pytest.mark.parametrize("case", BAD_TRANSACTIONS)
 def test_every_entry_point_applies_the_one_token_rule(case):
-    # The batch entry points see the bad transaction second, after one that
-    # would intern a new token.  Each raises the same error; the mutating
-    # ones change nothing, the dictionary included.
-    bad, error, pattern = BAD_TRANSACTIONS[case]
+    # The batch entry points see the bad transaction at positions 0 to 2,
+    # after ones that would intern new tokens, and name that position.  Each
+    # raises the same error; the mutating ones change nothing, the
+    # dictionary included.
+    bad, error, message = BAD_TRANSACTIONS[case]
     miner = ClosedItemsetStreamMiner(window_size=2, mode="sliding")
     miner.fit([["a", "b"], ["b", "c"]])
     driver = miner.driver_
-    entry_points = {
-        "StreamDriver.push": lambda: driver.push(bad),
-        "update": lambda: miner.update(bad),
-        "fit": lambda: miner.fit([["y"], bad]),
-        "partial_fit": lambda: miner.partial_fit([["y"], bad]),
-        "predict": lambda: miner.predict([["y"], bad]),
-        "transform": lambda: miner.transform([["y"], bad]),
-    }
+    calls = [("StreamDriver.push", lambda: driver.push(bad), ""),
+             ("update", lambda: miner.update(bad), "")]
+    for position in range(3):
+        X = [["y"], ["a", "z"]][:position] + [bad, ["w"]]
+        for name in ("fit", "partial_fit", "predict", "transform"):
+            calls.append((name, functools.partial(getattr(miner, name), X),
+                          f" at position {position}"))
 
     def state():
         return (miner.driver_, list(driver.dictionary.tokens), list(driver.buffer),
                 driver.next_tid, miner.n_seen_, miner.discover())
 
     before = state()
-    messages = set()
-    for name, call in entry_points.items():
-        with pytest.raises(error, match=pattern) as exc:
+    for name, call, at in calls:
+        with pytest.raises(error) as exc:
             call()
         assert type(exc.value) is error, name
-        messages.add(str(exc.value).replace(" at position 1", ""))
+        assert str(exc.value) == message.format(at=at), name
         assert state() == before, name
-    assert len(messages) == 1
 
 
 @pytest.mark.parametrize("method", ["fit", "partial_fit"])
@@ -291,22 +291,73 @@ def test_query_duplicate_unknown_and_empty_tokens():
 def test_failed_shift_poisons_the_miner():
     miner = ClosedItemsetStreamMiner(window_size=2, mode="sliding")
     miner.fit([["a", "b"], ["c"]])
-    eng = miner.driver_.engine
+    driver = miner.driver_
+    eng = driver.engine
     # drop the ab record from b's inverted list: evicting ab then leaves
     # the full-itemset node with no CI ending on it, after the record
     # ending on a has already been demoted
-    b = miner.driver_.dictionary.intern("b")
+    b = driver.dictionary.intern("b")
     del eng.index.lists[b][next(iter(eng.index.lists[b]))]
     with pytest.raises(AssertionError):
         miner.update(["d"])
+
+    def state():
+        return (list(driver.dictionary.tokens), list(driver.buffer), driver.next_tid,
+                miner.n_seen_)
+
+    # every call is refused before it interns a token (partial_fit and the
+    # driver's pushes used to intern first)
+    before = state()
+    assert before[0] == ["a", "b", "c", "d"]
     for call in (lambda: miner.update(["e"]),
-                 lambda: miner.partial_fit([["e"]]),
+                 lambda: miner.partial_fit([["e", "f"]]),
+                 lambda: miner.partial_fit([]),
+                 lambda: driver.push(["g"]),
+                 lambda: driver.push_ids(map(driver.dictionary.intern, ["h"])),
                  lambda: miner.predict([["c"]]),
                  lambda: miner.predict([["unknown"]]),
                  lambda: miner.transform([["c"]]),
                  lambda: miner.discover()):
         with pytest.raises(RuntimeError, match="failed part-way"):
             call()
+        assert state() == before
     # a refit starts from a fresh engine
     miner.fit([["a", "b"], ["c"]])
     assert miner.predict([["c"], ["a", "b"]]) == [1, 1]
+
+
+class Token(str):
+    pass
+
+
+class Number(int):
+    pass
+
+
+def test_subclass_tokens_answer_as_plain_tokens():
+    plain_stream = [["a", 1, "b"], ["a", 1], ["b", 2], ["a", "b", 2], ["a", 2]]
+    sub = {"a": Token("a"), "b": Token("b"), 1: Number(1), 2: Number(2)}
+    queries = [["a"], [1, "b"], ["b", 2], [3], ["a", 1, "b", 2]]
+    plain = ClosedItemsetStreamMiner(window_size=3, mode="sliding").fit(plain_stream[:4])
+    plain.update(plain_stream[4])
+    mixed = ClosedItemsetStreamMiner(window_size=3, mode="sliding").fit(
+        [[sub[t] for t in row] for row in plain_stream[:4]])
+    mixed.update([sub[t] for t in plain_stream[4]])
+    supports, closures = plain.predict(queries), plain.transform(queries)
+    assert supports == [2, 0, 2, 0, 0]
+    assert mixed.discover() == plain.discover()
+    for miner in (plain, mixed):
+        for qs in (queries, [[sub.get(t, t) for t in q] for q in queries]):
+            assert miner.predict(qs) == supports
+            assert miner.transform(qs) == closures
+    # a subclass still takes the whole rule: an empty one is refused
+    with pytest.raises(ValueError, match="empty string token at position 0"):
+        plain.predict([[Token("")]])
+
+
+def test_queries_take_one_shot_iterables():
+    miner = ClosedItemsetStreamMiner().fit(TABLE1)
+    queries = [["a", "b"], ["c"], ["z"]]
+    assert miner.predict(q for q in queries) == [3, 6, 0]
+    assert miner.transform(iter(queries)) == miner.transform(queries)
+    assert miner.predict([iter(["a", "b"])]) == [3]
