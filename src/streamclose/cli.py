@@ -10,7 +10,7 @@ import argparse
 import sys
 
 from . import oracle
-from .formats import ParseError, StatsWriter, StreamSource, save_snapshot, write_snapshot
+from .formats import ParseError, StatsWriter, StreamSource, save_snapshot, snapshot_lines
 from .window import LANDMARK, SLIDING, StreamDriver, WindowConfig, replay
 
 EXIT_OK = 0
@@ -93,7 +93,7 @@ def _cmd_mine(args) -> int:
         if args.emit_snapshot:
             save_snapshot(args.emit_snapshot, final, args.format)
         else:
-            sys.stdout.write(write_snapshot(final, args.format))
+            sys.stdout.writelines(snapshot_lines(final, args.format))
     finally:
         if stats_file:
             stats_file.close()
@@ -162,7 +162,7 @@ def _cmd_oracle(args) -> int:
     tok = source.dictionary.token
     rows = sorted((tuple(sorted(items)), supp) for items, supp in fam.items())
     out = [(tuple(tok(a) for a in items), supp) for items, supp in rows]
-    sys.stdout.write(write_snapshot(out, "tsv"))
+    sys.stdout.writelines(snapshot_lines(out, "tsv"))
     return EXIT_OK
 
 

@@ -9,7 +9,9 @@ phases:
      cursor one trie node, tracing the CI's growing intersection with t.
      One loop serves both shift kinds and only moves cursors; one settle
      loop over the routed CIs then gives the node each one ends on its top
-     CI, the top's support and the next-best support there.
+     CI, the top's support and the next-best support there, and puts the
+     CI's cursor back on ``DETACHED``, where every cursor rests between
+     shifts.
   2. Categorization.  Nodes with a support are exactly the complete
      intersections, and a node's top is its class closure, the strict
      unique maximum among the CIs ending there (t's node has none when no
@@ -35,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .store import CIRecord, CIStore, InvertedIndex, snapshot
-from .trie import Trie, TrieNode
+from .trie import DETACHED, Trie, TrieNode
 
 
 @dataclass
@@ -138,9 +140,12 @@ class MinerEngine:
         """Phase 1: build this shift's trie and settle its end nodes.
 
         Returns the number of (item, CI) entries scanned plus one step per
-        item along t's own path.  The per-entry loop only advances cursors;
-        ``top``, ``top_supp`` and ``next_supp`` are filled afterwards from
-        the node each routed CI ends on.
+        item along t's own path.  The per-entry loop only advances cursors:
+        a cursor on ``DETACHED`` starts at the root, and since items are
+        routed in one order, a node's child slot holds its child on the
+        current item exactly when that child exists.  ``top``, ``top_supp``
+        and ``next_supp`` are filled afterwards from the node each routed
+        CI ends on, and that cursor goes back on ``DETACHED``.
         """
         trie = self.trie
         trie.reset()
@@ -151,10 +156,8 @@ class MinerEngine:
         # support 0, so it is an end node even when no CI ends on it.
         prev = root
         for a in order:
-            n = TrieNode(a, prev)
-            nodes_append(n)
-            prev.children = {a: n}
-            prev = n
+            prev = TrieNode(a, prev)
+            nodes_append(prev)
         prev.top_supp = 0
         routed = []
         routed_append = routed.append
@@ -168,28 +171,19 @@ class MinerEngine:
             entries += len(lst)
             for c in lst:
                 prev = c.cursor
-                ch = prev.children
-                if ch is None:
-                    # first visit this shift: the cursor rests on a severed node
-                    prev = root
-                    ch = root.children
+                if prev is DETACHED:
                     routed_append(c)
-                n = ch.get(a)
-                if n is None:
-                    n = TrieNode(a, prev)
-                    nodes_append(n)
-                    if ch:
-                        ch[a] = n
-                    else:
-                        # a leaf's first child: leave the shared empty dict be
-                        prev.children = {a: n}
-                c.cursor = n
+                    prev = root
+                if prev.child_item != a:
+                    nodes_append(TrieNode(a, prev))
+                c.cursor = prev.child
 
         # An end node's class closure ends on it and out-supports every other
         # CI ending there (docs/algorithm.md, lemma 2), so the top and the
         # next-best support are all the categorization needs.
         for c in routed:
             n = c.cursor
+            c.cursor = DETACHED
             s = c.support
             if s > n.top_supp:
                 n.next_supp = n.top_supp

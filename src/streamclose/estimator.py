@@ -177,11 +177,14 @@ class ClosedItemsetStreamMiner:
 
         The closure is the largest itemset contained in exactly the window
         transactions that contain the query.  Queries covered by no window
-        transaction (and empty queries) map to None.
+        transaction (and empty queries) map to None.  As in ``discover``, an
+        id pushed around the dictionary has no token and stays as it is;
+        the closure's ids ascend, so its first and last id clear it whole.
         """
         driver = self._require_fitted()
         engine = driver.engine
         tokens = driver.dictionary.tokens
+        known = len(tokens)
         out = []
         i = 0
         for x in _transactions(X):
@@ -190,8 +193,13 @@ class ClosedItemsetStreamMiner:
                 out.append(None)
             else:
                 closure = []
-                for a in materialize_itemset(engine.store, engine.index, rec):
-                    closure.append(tokens[a])
+                items = materialize_itemset(engine.store, engine.index, rec)
+                if 0 <= items[0] and items[-1] < known:
+                    for a in items:
+                        closure.append(tokens[a])
+                else:
+                    for a in items:
+                        closure.append(tokens[a] if 0 <= a < known else a)
                 out.append(tuple(closure))
             i += 1
         return out

@@ -87,28 +87,32 @@ def read_fimi(source, dictionary: ItemDictionary | None = None) -> StreamSource:
     return StreamSource(source, dictionary)
 
 
-def write_snapshot(snapshot: Iterable[tuple[tuple, int]], fmt: str = "tsv") -> str:
-    """Render a (itemset, support) sequence in a deterministic text format.
+def snapshot_lines(snapshot: Iterable[tuple[tuple, int]], fmt: str = "tsv") -> Iterator[str]:
+    """Render a (itemset, support) sequence lazily, one text line per row.
 
     tsv: ``item item ...<TAB>support`` per row.  jsonl: one object per row
-    with ``itemset`` and ``support`` keys.  Rows keep the order given.
+    with ``itemset`` and ``support`` keys.  Rows keep the order given.  An
+    unknown ``fmt`` raises ValueError here, before any row is read.
     """
     if fmt == "tsv":
-        return "".join(
-            " ".join(str(t) for t in items) + "\t" + str(supp) + "\n"
-            for items, supp in snapshot
-        )
+        return (" ".join(str(t) for t in items) + "\t" + str(supp) + "\n"
+                for items, supp in snapshot)
     if fmt == "jsonl":
-        return "".join(
-            json.dumps({"itemset": list(items), "support": supp}) + "\n"
-            for items, supp in snapshot
-        )
+        return (json.dumps({"itemset": list(items), "support": supp}) + "\n"
+                for items, supp in snapshot)
     raise ValueError(f"unknown snapshot format {fmt!r}")
 
 
+def write_snapshot(snapshot: Iterable[tuple[tuple, int]], fmt: str = "tsv") -> str:
+    """The whole text of ``snapshot_lines``, a deterministic text format."""
+    return "".join(snapshot_lines(snapshot, fmt))
+
+
 def save_snapshot(path, snapshot: Iterable[tuple[tuple, int]], fmt: str = "tsv") -> None:
+    """Write ``snapshot`` to ``path`` line by line, never holding the whole text."""
+    lines = snapshot_lines(snapshot, fmt)
     with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write(write_snapshot(snapshot, fmt))
+        f.writelines(lines)
 
 
 class StatsWriter:

@@ -88,10 +88,9 @@ class CIRecord:
     """Bookkeeping for one closed itemset.
 
     ``cursor`` points at the trie node ending this CI's current intersection
-    prefix.  A cursor left from an earlier shift points at a node that trie
-    reset severed (``children`` is None), and a new record's points at the
-    severed ``trie.DETACHED``, so stale cursors never need clearing between
-    shifts.
+    prefix while a shift routes it, and at ``trie.DETACHED`` otherwise: a
+    new record starts there and routing puts each cursor back, so no
+    cursor keeps a finished trie alive.
 
     ``itemset`` is the CI's ascending item-id tuple, the same items whose
     inverted lists hold the record and its key in ``CIStore.records``.

@@ -21,20 +21,19 @@ out-supports every other CI ending there, so next_supp stays strictly below
 top_supp; the removal categorization reads only these three fields (see
 docs/algorithm.md).
 
+Routing visits t's items in one fixed order, so while item ``a`` is routed
+a node is asked only for its child on ``a``, and a node created then is its
+parent's newest child.  One child slot per node (``child_item``, ``child``),
+filled in by the child's constructor, therefore replaces a children dict.
+
 The arena list is retained across shifts (cleared, not reallocated) and
 doubles as the deterministic traversal order: nodes appear in creation order
 with the root at position 0.
 
-A node and its parent's ``children`` dict point at each other, and a node's
-``top`` holds a CI record whose cursor points back at it, so a finished trie
-is full of reference cycles.  ``reset`` severs those links on every old node
-before dropping the arena, so the old trie is freed by reference counting
-alone and never reaches the cyclic garbage collector.  A leaf's ``children``
-is the shared, always empty ``NO_CHILDREN`` dict, which the node-creating
-code replaces with a fresh dict on the first child, so leaves allocate none.
-A severed node's ``children`` is None, so a cursor left over from an earlier
-shift is recognised by the node it points at: a CI never routed points at
-the shared, equally severed ``DETACHED`` node.
+A node and its parent's child slot point at each other.  ``reset`` cuts
+every old node's child link, and routing puts every cursor back on
+``DETACHED``, so a finished trie is freed by reference counting alone and
+never reaches the cyclic garbage collector.
 """
 
 from __future__ import annotations
@@ -43,21 +42,26 @@ from __future__ import annotations
 # arrival always wins and a top never sees it as a runner-up one unit below.
 SUPPORT_FLOOR = -2
 
-# Every leaf's children; never written, only replaced on a node's first child.
-NO_CHILDREN: dict = {}
-
 
 class TrieNode:
-    __slots__ = ("item", "parent", "children", "depth", "top", "top_supp", "next_supp")
+    __slots__ = ("item", "parent", "child_item", "child", "depth", "top", "top_supp",
+                 "next_supp")
 
     def __init__(self, item, parent):
+        """A node for ``item`` under ``parent``, made its parent's newest child."""
         self.item = item
         self.parent = parent
-        self.children = NO_CHILDREN
-        self.depth = 0 if parent is None else parent.depth + 1
+        self.child_item = None
+        self.child = None
         self.top = None
         self.top_supp = SUPPORT_FLOOR
         self.next_supp = SUPPORT_FLOOR
+        if parent is None:
+            self.depth = 0
+        else:
+            self.depth = parent.depth + 1
+            parent.child_item = item
+            parent.child = self
 
     def itemset(self) -> tuple:
         """Ascending itemset along the root path; the root has none."""
@@ -77,9 +81,8 @@ class TrieNode:
                 f"next_supp={self.next_supp})")
 
 
-# Where the cursor of a CI that was never routed points.
+# Where every CI's cursor rests between shifts; never part of a trie.
 DETACHED = TrieNode(None, None)
-DETACHED.children = None
 
 
 class Trie:
@@ -92,11 +95,11 @@ class Trie:
         """Drop every node and start over with a fresh root.
 
         The arena list object is reused; no node survives a reset.  Old
-        nodes are severed from their parent, children and top first, so
+        nodes lose their child link first, which breaks every cycle, so
         they are freed without a cyclic collection.
         """
         for n in self.nodes:
-            n.parent = n.children = n.top = None
+            n.child = None
         self.nodes.clear()
         self.root = TrieNode(None, None)
         self.nodes.append(self.root)

@@ -130,14 +130,18 @@ class StreamDriver:
         Rows come in the engine's (id-lex) order.  Ids pushed around the
         dictionary (push_ids with uninterned ints) have no token and are
         emitted as-is.  A row's ids ascend, so testing its first and last id
-        clears the whole row for translation in one C-level ``map``.
+        clears the whole row for translation in one C-level ``map``.  Each
+        id row is replaced by its token row in the engine's list, which is
+        returned, so an emission never holds two full row lists.
         """
         tokens = self.dictionary.tokens
         tok = tokens.__getitem__
         known = len(tokens)
-        return [(tuple(map(tok, items)) if 0 <= items[0] and items[-1] < known
-                 else tuple(tok(a) if 0 <= a < known else a for a in items), supp)
-                for items, supp in self.engine.snapshot(min_supp)]
+        rows = self.engine.snapshot(min_supp)
+        for i, (items, supp) in enumerate(rows):
+            rows[i] = (tuple(map(tok, items)) if 0 <= items[0] and items[-1] < known
+                       else tuple(tok(a) if 0 <= a < known else a for a in items), supp)
+        return rows
 
     @property
     def live_cis(self) -> int:

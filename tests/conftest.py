@@ -1,9 +1,9 @@
 """Shared fixtures: the worked example dataset, golden families, helpers.
 
 The trie and index helpers here (child lookup, child creation, end nodes,
-the debug dump, list lengths), the store-invariant check and the per-entry
-reference routing serve only the tests, so they live here rather than in
-the library.
+the debug dump, grouping CIs by end node, list lengths), the
+store-invariant check and the per-entry reference routing serve only the
+tests, so they live here rather than in the library.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import pytest
 
 from streamclose import MinerEngine, ShiftReport, StreamDriver, WindowConfig
 from streamclose.store import CIRecord, CIStore, InvertedIndex
-from streamclose.trie import SUPPORT_FLOOR, Trie, TrieNode
+from streamclose.trie import DETACHED, SUPPORT_FLOOR, Trie, TrieNode
 
 # Ten-transaction worked example; tid n is TABLE1[n - 1].
 TABLE1 = [
@@ -88,20 +88,23 @@ def random_stream(rng: random.Random, alphabet: int, length: int,
             for _ in range(length)]
 
 
-def child(node, item):
-    """Successor of ``node`` carrying ``item``, or None."""
-    return node.children.get(item)
+def child(trie: Trie, node, item):
+    """Successor of ``node`` carrying ``item``, or None.
+
+    Found by parent link, since a node keeps only its newest child.
+    """
+    for n in trie.nodes:
+        if n.parent is node and n.item == item:
+            return n
+    return None
 
 
 def add_child(trie: Trie, node, item):
     """Create the successor of ``node`` carrying ``item``."""
-    if item in node.children:
+    if child(trie, node, item) is not None:
         raise AssertionError(f"duplicate child {item} under a node at depth {node.depth}")
     n = TrieNode(item, node)
     trie.nodes.append(n)
-    if not node.children:
-        node.children = {}  # a leaf's first child: leave the shared empty dict be
-    node.children[item] = n
     return n
 
 
@@ -116,22 +119,54 @@ def end_nodes(trie: Trie):
 
 
 def dump(trie: Trie) -> str:
-    """Debug trace: one line per node in pre-order.
+    """Debug trace: one line per node in pre-order, siblings in creation order.
 
     Line format: ``depth item top={id} supp={top_supp} next={next_supp}``,
-    with ``top=-`` on a node no CI ends on.
+    with ``top=-`` on a node no CI ends on.  Children are found by parent
+    link, since a node keeps only its newest child.
     """
+    kids = defaultdict(list)
+    for n in trie.nodes[1:]:
+        kids[n.parent].append(n)
     lines = []
 
     def visit(n):
         item = "-" if n.parent is None else str(n.item)
         top = "-" if n.top is None else str(n.top.id)
         lines.append(f"{n.depth} {item} top={top} supp={n.top_supp} next={n.next_supp}")
-        for c in n.children.values():
+        for c in kids[n]:
             visit(c)
 
     visit(trie.root)
     return "\n".join(lines)
+
+
+def enders(trie: Trie, records, t) -> dict:
+    """Group ``records`` by the node of ``trie`` each one ends on.
+
+    A record routed by a shift of ``t`` ends on the node spelling its
+    itemset's intersection with ``t``; records disjoint from ``t`` are not
+    routed and are left out.  Found from each node's root path, since every
+    cursor is back on ``DETACHED`` once the shift is over.  A missing node
+    raises KeyError.
+    """
+    t = frozenset(t)
+    paths = {trie.root: frozenset()}
+    by_path = {}
+    for n in trie.nodes[1:]:  # a parent is created before its children
+        path = paths[n] = paths[n.parent] | {n.item}
+        by_path[path] = n
+    out: dict = {}
+    for rec in records:
+        x = t.intersection(rec.itemset)
+        if x:
+            out.setdefault(by_path[x], []).append(rec)
+    return out
+
+
+def all_detached(records) -> bool:
+    """Whether every record's cursor rests on ``DETACHED``, as between shifts."""
+    return all(rec.cursor is DETACHED for rec in records)
 
 
 def scan_length(index: InvertedIndex, item) -> int:
@@ -186,16 +221,19 @@ class PassThrough:
     ``refs`` counts the cursors resting on the node; ``top`` lists the CIs
     holding the highest support ``top_supp`` among those routed through it
     (kept to one entry by replacement on addition), and on removal
-    ``runners`` lists those exactly one support unit below.
+    ``runners`` lists those exactly one support unit below.  ``children``
+    maps an item to the node's child on it, the reference form's own
+    (node, item) -> node table.
     """
 
-    __slots__ = ("refs", "top", "top_supp", "runners")
+    __slots__ = ("refs", "top", "top_supp", "runners", "children")
 
     def __init__(self):
         self.refs = 0
         self.top = None
         self.top_supp = SUPPORT_FLOOR
         self.runners = None
+        self.children = {}
 
 
 def expand_path(eng: MinerEngine, table, c, a, kind: str) -> None:
@@ -205,16 +243,19 @@ def expand_path(eng: MinerEngine, table, c, a, kind: str) -> None:
     CI from the CIs that end on it, this keeps the paper's passing-through
     bookkeeping in ``table``, a ``defaultdict(PassThrough)`` keyed by node:
     ``refs`` counts cursors currently resting on a node, and every node on
-    the path updates its top/runners.  A stale cursor is recognised the
-    same way, by the severed node it points at.
+    the path updates its top/runners.  Children are looked up in the
+    table, not in the engine's child slot; a cursor on ``DETACHED`` starts
+    at the root.
     """
     trie = eng.trie
     prev = c.cursor
-    if prev.children is None:
+    if prev is DETACHED:
         prev = trie.root
-    n = child(prev, a)
+    kids = table[prev].children
+    n = kids.get(a)
     if n is None:
-        n = add_child(trie, prev, a)
+        n = kids[a] = TrieNode(a, prev)
+        trie.nodes.append(n)
     table[prev].refs -= 1
     e = table[n]
     e.refs += 1
@@ -289,7 +330,8 @@ def step_shift(eng: MinerEngine, tid, items, kind: str, table=None) -> ShiftRepo
     """Run one shift through the per-entry reference form.
 
     Routes the bootstrap record and every (item, CI) entry through
-    expand_path, then categorizes with the engine's own
+    expand_path, puts every routed cursor back on ``DETACHED`` as the
+    engine's settle loop does, then categorizes with the engine's own
     update_cis_inc/update_cis_dec; pins the engine's routing and settle
     loops to the paper's per-entry semantics.  Pass a
     ``defaultdict(PassThrough)`` as ``table`` to inspect the bookkeeping
@@ -310,14 +352,18 @@ def step_shift(eng: MinerEngine, tid, items, kind: str, table=None) -> ShiftRepo
     if table is None:
         table = defaultdict(PassThrough)
     ci0 = bootstrap_record()
+    routed = {}
     entries = 0
     for a in items:
         expand_path(eng, table, ci0, a, kind)
         entries += 1
         for rec in list(eng.index.lists.get(a, ())):
             expand_path(eng, table, rec, a, kind)
+            routed[rec] = None
             entries += 1
     settle_from_table(table, ci0)
+    for rec in routed:
+        rec.cursor = DETACHED
     if kind == "add":
         return eng.update_cis_inc(tid, entries)
     return eng.update_cis_dec(tid, entries)

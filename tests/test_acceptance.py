@@ -20,8 +20,10 @@ from conftest import (
     TABLE1,
     TABLE2,
     TABLE3,
+    all_detached,
     check_store_invariants,
     end_nodes,
+    enders,
     ids_family,
     landmark_driver,
     record_of,
@@ -182,11 +184,16 @@ def audit_shift(eng, kind, t_items, db_before, db_after, fam_before,
         ends[frozenset(n.itemset())] = n
     if set(ends) != delta:
         tally.property_violations.append(f"{where}: end nodes != work set")
-    # the CIs routed this shift, grouped by the node each one ends on
-    enders: dict = {}
-    for rec in recs_before:
-        enders.setdefault(rec.cursor, []).append(rec)
-    if any(m.top is None for m in enders if m.children is not None):
+    # every cursor is back on DETACHED; the CIs routed this shift, grouped
+    # by the node spelling c & t, the node each one ends on
+    if not all_detached(recs_before):
+        tally.property_violations.append(f"{where}: a cursor outlives its shift")
+    try:
+        groups = enders(eng.trie, recs_before, t)
+    except KeyError:
+        tally.property_violations.append(f"{where}: no node spells some c & t")
+        groups = {}
+    if any(m.top is None for m in groups):
         tally.property_violations.append(f"{where}: a CI ends on a node with no top")
 
     def supp_before(rec):
@@ -221,10 +228,10 @@ def audit_shift(eng, kind, t_items, db_before, db_after, fam_before,
         # removal) one support unit below the path, and the best of their
         # pre-shift supports (and t's starting 0 on its own node) is next_supp
         top_supp = supp_before(top)
-        if top.cursor is not n or top_supp != n.top_supp:
+        if top not in groups.get(n, ()) or top_supp != n.top_supp:
             tally.property_violations.append(
                 f"{where}: top of {sorted(path)} does not end there at its support")
-        others = [g for g in enders.get(n, ()) if g is not top]
+        others = [g for g in groups.get(n, ()) if g is not top]
         if any(by_id_before[g.id] in delta for g in others):
             tally.property_violations.append(
                 f"{where}: a work-set CI ends on {sorted(path)} under another top")

@@ -15,11 +15,13 @@ from conftest import (
     TABLE3,
     PassThrough,
     add_child,
+    all_detached,
     bootstrap_record,
     check_store_invariants,
     child,
     dump,
     end_nodes,
+    enders,
     expand_path,
     ids_family,
     landmark_driver,
@@ -137,9 +139,11 @@ def test_remove_second_transaction_golden(table2_driver):
     # trace detail at the cf end node: its own record (support 2) on top,
     # the cdfgh record (support 1) as the certifying runner-up ending there
     d = driver.dictionary
-    node_cf = child(child(eng.trie.root, d.intern("c")), d.intern("f"))
+    trie = eng.trie
+    node_cf = child(trie, child(trie, trie.root, d.intern("c")), d.intern("f"))
     assert node_cf.top is not None and node_cf.top.support == node_cf.top_supp == 2
-    certifiers = [r for r in eng.store.records.values() if r.cursor is node_cf]
+    assert all_detached(eng.store.records.values())
+    certifiers = enders(trie, eng.store.records.values(), items)[node_cf]
     assert len(certifiers) == 1 and certifiers[0].support == node_cf.next_supp == 1
     assert certifiers[0].size == 5  # cdfgh
     assert f"top={node_cf.top.id} supp=2 next=1" in dump(eng.trie)
@@ -245,8 +249,9 @@ def test_remove_duplicate_transaction_only_demotes():
 
 def abc_node(driver):
     d = driver.dictionary
-    node_a = child(driver.engine.trie.root, d.intern("a"))
-    return child(child(node_a, d.intern("b")), d.intern("c"))
+    trie = driver.engine.trie
+    node_a = child(trie, trie.root, d.intern("a"))
+    return child(trie, child(trie, node_a, d.intern("b")), d.intern("c"))
 
 
 def test_stale_runner_entry_does_not_certify(table2_driver):
@@ -265,24 +270,27 @@ def test_stale_runner_entry_does_not_certify(table2_driver):
             report = eng.shift_remove(tid, items)
         else:
             report = shift(eng, tid, items, "remove", table)
+        assert all_detached(eng.store.records.values()) and abcef_rec.cursor is DETACHED
         node_abc = abc_node(driver)
         above_end = []                      # abcef ends deeper, below abc
-        n = abcef_rec.cursor.parent
+        (n,) = enders(eng.trie, [abcef_rec], items)
+        n = n.parent
         while n is not None:
             above_end.append(n)
             n = n.parent
         assert any(n is node_abc for n in above_end)
-        enders = [r for r in eng.store.records.values() if r.cursor is node_abc]
-        assert [r.size for r in enders] == [4]  # abcd, support one below abc
-        assert enders[0].support == node_abc.next_supp == node_abc.top_supp - 1
+        abc_enders = enders(eng.trie, eng.store.records.values(), items)[node_abc]
+        assert [r.size for r in abc_enders] == [4]  # abcd, support one below abc
+        assert abc_enders[0].support == node_abc.next_supp == node_abc.top_supp - 1
         assert tuple("abc") in {tokens_of(driver, i) for _, i in report.obsolete}
-        shifted.append((node_abc, abcef_rec))
+        shifted.append((eng.trie, node_abc, abcef_rec, items))
     # the per-entry reference form leaves abcef among abc's runners, but the
     # cursor test keeps it from certifying
-    node_abc, abcef_rec = shifted[1]
+    trie, node_abc, abcef_rec, items = shifted[1]
     runners = table[node_abc].runners
-    assert abcef_rec in runners and abcef_rec.cursor is not node_abc
-    assert [r.size for r in runners if r.cursor is node_abc] == [4]
+    runner_ends = enders(trie, runners, items)
+    assert abcef_rec in runners and abcef_rec not in runner_ends.get(node_abc, ())
+    assert [r.size for r in runner_ends.get(node_abc, ())] == [4]
 
 
 def test_remove_shrinks_inverted_lists(table2_driver):
@@ -333,10 +341,10 @@ def test_expand_path_walks_bc(table3_driver):
         for rec in list(eng.index.lists.get(a, ())):
             expand_path(eng, table, rec, a, "add")
         if a == b:
-            node_b = child(eng.trie.root, b)
+            node_b = child(eng.trie, eng.trie.root, b)
             assert bc.cursor is node_b
             refs_after_b = table[node_b].refs
-    node_bc = child(node_b, c)
+    node_bc = child(eng.trie, node_b, c)
     assert bc.cursor is node_bc
     assert table[node_b].refs < refs_after_b  # departures decremented the counter
 
@@ -345,17 +353,28 @@ def in_current_trie(eng, node) -> bool:
     return any(n is node for n in eng.trie.nodes)
 
 
-def test_untouched_ci_keeps_stale_cursor(table3_driver):
+def test_every_cursor_rests_on_detached_between_shifts(table3_driver):
+    # the settle loop puts each routed cursor back, so no cursor keeps a
+    # finished trie alive; a CI the shift does not touch is never moved
     driver = table3_driver
     eng = driver.engine
     d = (driver.dictionary.intern("d"),)
     d_rec = eng.store.records[d]
     assert materialize_itemset(eng.store, eng.index, d_rec) == d
-    cursor = d_rec.cursor
+    assert all_detached(eng.store.records.values())
+    old_nodes = list(eng.trie.nodes)
+    before = list(eng.store.records.values())
     driver.push(TABLE1[9])  # bcgh shares nothing with {d}
-    assert d_rec.cursor is cursor
-    assert not in_current_trie(eng, d_rec.cursor)
-    assert d_rec.cursor.children is None  # severed by the trie reset
+    routed = enders(eng.trie, before, driver.buffer[-1][1])
+    assert sum(map(len, routed.values())) > 1
+    assert d_rec not in [r for group in routed.values() for r in group]
+    assert all_detached(eng.store.records.values()) and all_detached(before)
+    assert not in_current_trie(eng, DETACHED)
+    assert all(n.child is None for n in old_nodes)  # child links cut by the reset
+    # a removal puts its cursors back too
+    tid, items = driver.buffer.popleft()
+    eng.shift_remove(tid, items)
+    assert all_detached(before)
 
 
 def test_own_path_is_laid_first_and_ends_on_an_end_node(table3_driver):
@@ -394,7 +413,7 @@ def test_new_record_cursor_is_detached():
     ci_id, itemset, _ = report.new_cis[0]
     rec = eng.store.records[itemset]
     assert rec.id == ci_id
-    assert rec.cursor is DETACHED and DETACHED.children is None
+    assert rec.cursor is DETACHED and DETACHED.child is None
     assert not in_current_trie(eng, rec.cursor)
 
 
@@ -416,7 +435,7 @@ def test_update_gen_inc_tracks_class_closure(table3_driver):
     eng = driver.engine
     d = driver.dictionary
     driver.push(TABLE1[9])
-    node_h = child(eng.trie.root, d.intern("h"))
+    node_h = child(eng.trie, eng.trie.root, d.intern("h"))
     top = node_h.top
     # the class closure of {h} before the shift was fh at support 4, and fh
     # is not contained in bcgh, so its support is untouched
@@ -477,10 +496,10 @@ def test_update_cis_inc_examples(table3_driver):
     d = driver.dictionary
     _, report = driver.push(TABLE1[9])
     trie = eng.trie
-    node_bc = child(child(trie.root, d.intern("b")), d.intern("c"))
+    node_bc = child(trie, child(trie, trie.root, d.intern("b")), d.intern("c"))
     assert node_bc.depth == node_bc.top.size == 2  # promoted
     assert node_bc.top.support == 5
-    node_h = child(trie.root, d.intern("h"))
+    node_h = child(trie, trie.root, d.intern("h"))
     assert node_h.depth == 1 and node_h.top.size == 2  # new from fh
     new_from_h = next(supp for _, items, supp in report.new_cis
                       if tokens_of(driver, items) == ("h",))

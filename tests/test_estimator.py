@@ -260,6 +260,25 @@ def test_int_tokens_roundtrip():
     assert miner.discover() == [((3, 1), 1), ((1,), 2)]
 
 
+def test_transform_keeps_ids_pushed_around_the_dictionary():
+    # an id from push_ids that was never interned has no token; transform
+    # keeps it as it is, as discover does, instead of indexing the token
+    # list with it (past the end it raised, below 0 it read a wrong token)
+    miner = ClosedItemsetStreamMiner().fit([])
+    miner.driver_.dictionary.intern("a")
+    miner.driver_.push_ids([0, 7])
+    assert miner.discover() == [(("a", 7), 1)]
+    assert miner.transform([["a"]]) == [("a", 7)]
+    miner = ClosedItemsetStreamMiner().fit([])
+    for tok in ("a", "b"):
+        miner.driver_.dictionary.intern(tok)
+    miner.driver_.push_ids([-1, 0])
+    assert miner.discover() == [((-1, "a"), 1)]
+    assert miner.transform([["a"]]) == [(-1, "a")]
+    miner.update(["a", "b"])
+    assert miner.transform([["a"], ["b"]]) == [("a",), ("a", "b")]
+
+
 def test_queries_on_fully_evicted_tokens():
     miner = ClosedItemsetStreamMiner(window_size=2, mode="sliding")
     miner.fit([["a", "b"], ["c"], ["c"]])

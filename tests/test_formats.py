@@ -2,6 +2,7 @@
 
 import dataclasses
 import io
+import tracemalloc
 
 import pytest
 
@@ -102,6 +103,23 @@ def test_save_snapshot_deterministic_bytes(tmp_path):
     save_snapshot(p2, driver.snapshot())
     assert p1.read_bytes() == p2.read_bytes()
     assert b"\r" not in p1.read_bytes()
+
+
+def test_save_snapshot_never_holds_the_whole_text(tmp_path):
+    # rows are written as they are formatted, so saving ten thousand rows
+    # allocates far less than the text it writes
+    rows = [((f"item{i}", f"other{i % 97}", "tail"), i % 50 + 1) for i in range(10000)]
+    for fmt in ("tsv", "jsonl"):
+        text = write_snapshot(rows, fmt)
+        path = tmp_path / f"rows.{fmt}"
+        tracemalloc.start()
+        try:
+            save_snapshot(path, rows, fmt)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert path.read_text(encoding="utf-8") == text
+        assert peak < len(text) / 4, (fmt, peak, len(text))
 
 
 def test_stats_writer_header_and_rows():

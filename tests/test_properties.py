@@ -8,7 +8,15 @@ from hypothesis import strategies as st
 from streamclose import MinerEngine, StreamDriver, WindowConfig, oracle
 from streamclose.store import materialize_itemset
 from streamclose.trie import SUPPORT_FLOOR
-from conftest import check_store_invariants, end_nodes, ids_family, scan_length, window_db
+from conftest import (
+    all_detached,
+    check_store_invariants,
+    end_nodes,
+    enders,
+    ids_family,
+    scan_length,
+    window_db,
+)
 
 transactions = st.lists(
     st.frozensets(st.integers(0, 9), min_size=1, max_size=6),
@@ -90,18 +98,17 @@ def test_end_nodes_spell_the_work_set(stream, t_new):
     for tid, t in enumerate(stream):
         eng.shift_add(tid, tuple(sorted(t)))
     db = {tid: t for tid, t in enumerate(stream)}
+    before = list(eng.store.records.values())
     eng.shift_add(10_000, tuple(sorted(t_new)))
     got = {frozenset(n.itemset()) for n in end_nodes(eng.trie)}
     assert got == oracle.intersections(db, t_new)
     # every path stays inside the shifted transaction
     non_root = [n for n in eng.trie.nodes if n.parent is not None]
     assert all(frozenset(n.itemset()) <= t_new for n in non_root)
-    # a CI was routed this shift exactly when its cursor is a node of the
-    # current trie, and the nodes routed CIs end on, with t's own node, are
-    # the end nodes
-    in_trie = {id(n) for n in eng.trie.nodes}
-    routed_ends = {id(rec.cursor) for rec in eng.store.records.values()
-                   if id(rec.cursor) in in_trie}
+    # every cursor is back on DETACHED, and the nodes spelling c & t for
+    # the CIs c the shift routed, with t's own node, are the end nodes
+    assert all_detached(eng.store.records.values())
+    routed_ends = {id(n) for n in enders(eng.trie, before, t_new)}
     routed_ends.add(id(eng.trie.nodes[len(t_new)]))
     assert routed_ends == {id(n) for n in end_nodes(eng.trie)}
 
@@ -148,16 +155,14 @@ def test_end_node_keeps_its_top_and_the_next_best_support(stream, capacity):
                 eng.shift_add(stid, sitems)
             else:
                 eng.shift_remove(stid, sitems)
-            enders = {}
-            for rec, supp in before:
-                enders.setdefault(rec.cursor, []).append((rec, supp))
+            assert all_detached(rec for rec, _ in before)
+            supp_of = dict(before)
+            groups = enders(eng.trie, supp_of, sitems)
             own = eng.trie.nodes[len(sitems)]
             ends = end_nodes(eng.trie)
-            in_trie = {id(m) for m in eng.trie.nodes}
-            assert {id(n) for n in ends} == \
-                {id(n) for n in enders if id(n) in in_trie} | {id(own)}
+            assert {id(n) for n in ends} == {id(n) for n in groups} | {id(own)}
             for n in ends:
-                mine = enders.get(n, [])
+                mine = [(rec, supp_of[rec]) for rec in groups.get(n, [])]
                 if n.top is None:
                     assert n is own and mine == []
                     assert n.top_supp == 0 and n.next_supp == SUPPORT_FLOOR

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from streamclose import StreamDriver, WindowConfig, oracle
-from streamclose.trie import NO_CHILDREN, SUPPORT_FLOOR, Trie
+from streamclose.trie import SUPPORT_FLOOR, Trie
 from conftest import TABLE1, add_child, child, dump, end_nodes, landmark_driver, random_stream
 
 D19 = {n + 1: frozenset(t) for n, t in enumerate(TABLE1[:9])}
@@ -27,7 +27,7 @@ def test_reset_drops_every_node():
     t.reset()
     assert len(t.nodes) == 1
     assert t.root is not old_root
-    assert n.parent is None and n.children is None  # severed
+    assert old_root.child is None and n.child is None  # child links cut
 
 
 def test_finished_tries_need_no_cyclic_collection():
@@ -45,25 +45,30 @@ def test_finished_tries_need_no_cyclic_collection():
         gc.enable()
 
 
-def test_leaves_share_the_empty_children_dict():
-    # a leaf keeps the shared dict until its first child replaces it, so
-    # routing must never write into the shared one
+def test_child_slot_holds_the_newest_child():
+    # routing visits t's items in one order, so a node's one child slot
+    # holds its last-created child, and that child's item
     driver = StreamDriver(WindowConfig(capacity=30, mode="sliding"))
-    leaves = 0
+    branching = 0
     for items in random_stream(random.Random(2025), 14, 400, max_len=9):
         driver.push_ids(items)
-        for n in driver.engine.trie.nodes:
-            assert n.children or n.children is NO_CHILDREN
-            leaves += n.children is NO_CHILDREN
-    assert NO_CHILDREN == {}
-    assert leaves > 0
+        trie = driver.engine.trie
+        newest = {}
+        for n in trie.nodes[1:]:
+            branching += n.parent in newest
+            newest[n.parent] = n
+        for n in trie.nodes:
+            want = newest.get(n)
+            assert n.child is want
+            assert n.child_item == (None if want is None else want.item)
+    assert branching > 0
 
 
 def test_child_lookup_roundtrip():
     t = Trie()
-    assert child(t.root, 6) is None
+    assert child(t, t.root, 6) is None
     n = add_child(t, t.root, 1)
-    assert child(t.root, 1) is n
+    assert child(t, t.root, 1) is n
     assert n.depth == 1
     assert n.top is None and n.top_supp == n.next_supp == SUPPORT_FLOOR
 
@@ -79,7 +84,10 @@ def test_two_children_both_addressable():
     t = Trie()
     b = add_child(t, t.root, 1)
     c = add_child(t, t.root, 2)
-    assert child(t.root, 1) is b and child(t.root, 2) is c
+    assert child(t, t.root, 1) is b and child(t, t.root, 2) is c
+    # siblings keep their creation order; the slot names the newest
+    assert [n for n in t.nodes if n.parent is t.root] == [b, c]
+    assert t.root.child is c and t.root.child_item == 2
 
 
 def test_itemset_along_path():
@@ -116,8 +124,8 @@ def test_golden_bc_path_lookup():
     driver = landmark_driver(TABLE1)
     trie = driver.engine.trie
     d = driver.dictionary
-    node_b = child(trie.root, d.intern("b"))
-    node_bc = child(node_b, d.intern("c"))
+    node_b = child(trie, trie.root, d.intern("b"))
+    node_bc = child(trie, node_b, d.intern("c"))
     assert node_bc.depth == 2
     assert tuple(d.token(a) for a in node_bc.itemset()) == ("b", "c")
     # deepest end node spells the whole transaction

@@ -1,6 +1,8 @@
 """Window driver: eviction sequencing, landmark mode, replay determinism."""
 
 import random
+import sys
+import tracemalloc
 
 import pytest
 
@@ -182,6 +184,30 @@ def test_snapshot_translates_known_ids_and_passes_the_rest_through():
     assert driver.snapshot() == [
         ((-3, "a", "c"), 1), (("a", "b", "c"), 1), (("a", "c"), 2),
         (("b",), 2), (("b", 7), 1)]
+
+
+def test_an_emission_peaks_at_its_output():
+    # the id rows are translated in place, so an emission never holds the
+    # id row list beside the token row list: its traced peak is the bytes
+    # the returned rows hold (the list, each row and each token tuple)
+    rng = random.Random(11)
+    patterns = [rng.sample(range(60), 6) for _ in range(25)]
+    driver = StreamDriver(WindowConfig(mode="landmark"))
+    for _ in range(120):
+        basket = {a for p in rng.sample(patterns, 2) for a in p}
+        driver.push([f"tok{a}" for a in basket | set(rng.sample(range(60), 3))])
+    assert driver.live_cis >= 2000
+    driver.snapshot()  # warm up
+    tracemalloc.start()
+    try:
+        rows = driver.snapshot()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    held = sys.getsizeof(rows) + sum(
+        sys.getsizeof(row) + sys.getsizeof(row[0]) for row in rows)
+    assert len(rows) == driver.live_cis
+    assert peak <= 1.1 * held, (peak, held)
 
 
 @pytest.mark.parametrize("bad", [["x", 2.5], ["x", True], ["x", ""], ["x", None], "xa", b"xa"],
