@@ -102,7 +102,7 @@ def _cmd_mine(args) -> int:
 
 def _diff_families(got: dict, want: dict, dictionary) -> str:
     def name(items):
-        return " ".join(str(dictionary.token(a)) for a in sorted(items))
+        return " ".join(str(dictionary.tokens[a]) for a in sorted(items))
 
     lines = []
     for x in sorted(set(want) - set(got), key=sorted):
@@ -129,7 +129,7 @@ def _cmd_verify(args) -> int:
     def check(rep) -> str | None:
         nonlocal shift_no
         shift_no += 1
-        db = {t: frozenset(x) for t, x in driver.buffer}
+        db = {t: frozenset(x) for t, x in engine.window.items()}
         want = oracle.closed_itemsets(db, args.max_cis)
         got = {frozenset(x): s for x, s in engine.snapshot(1)}
         if got != want:
@@ -159,9 +159,9 @@ def _cmd_oracle(args) -> int:
     source = StreamSource(args.input)
     db = {i: frozenset(items) for i, items in enumerate(source)}
     fam = oracle.closed_itemsets(db)
-    tok = source.dictionary.token
+    tokens = source.dictionary.tokens
     rows = sorted((tuple(sorted(items)), supp) for items, supp in fam.items())
-    out = [(tuple(tok(a) for a in items), supp) for items, supp in rows]
+    out = [(tuple(tokens[a] for a in items), supp) for items, supp in rows]
     sys.stdout.writelines(snapshot_lines(out, "tsv"))
     return EXIT_OK
 

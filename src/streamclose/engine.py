@@ -74,13 +74,16 @@ class MinerEngine:
     it changes any state, so a rejected call leaves the engine as it was.
     An error after that point is kept in ``failure`` and makes every later
     shift, ``snapshot`` and ``closure_record`` raise RuntimeError.
+    ``window`` maps each window tid to its itemset, the only record of the
+    window's contents.  It changes only once a shift is done, so after a
+    failure it still holds the window the state can be rebuilt from.
     """
 
     def __init__(self):
         self.store = CIStore()
         self.index = InvertedIndex()
         self.trie = Trie()
-        self.window_tids: set = set()
+        self.window: dict[int, tuple] = {}  # tid -> normalized itemset
         self.failure: BaseException | None = None
 
     def check_usable(self) -> None:
@@ -95,7 +98,7 @@ class MinerEngine:
     # ------------------------------------------------------------------
 
     def shift_add(self, tid, items, item_order=None) -> ShiftReport:
-        """Fold a new transaction into the CI family.
+        """Fold a new transaction into the CI family and the window.
 
         ``items`` is deduplicated and sorted here, so callers may pass any
         iterable of item ids.  ``item_order`` overrides the iteration order
@@ -103,35 +106,36 @@ class MinerEngine:
         default ascending order just makes traces reproducible.
         """
         self.check_usable()
-        if tid in self.window_tids:
+        if tid in self.window:
             raise ValueError(f"tid {tid} is already in the window")
         items = _normalize(items)
         order = items if item_order is None else _check_order(item_order, items)
         try:
-            self.window_tids.add(tid)
-            if not items:
-                return ShiftReport("add", tid)
-            return self.update_cis_inc(tid, self._route(order))
+            report = (self.update_cis_inc(tid, self._route(order)) if items
+                      else ShiftReport("add", tid))
+            self.window[tid] = items
+            return report
         except BaseException as e:
             self.failure = e
             raise
 
-    def shift_remove(self, tid, items, item_order=None) -> ShiftReport:
-        """Fold an evicted transaction out of the CI family.
+    def shift_remove(self, tid, item_order=None) -> ShiftReport:
+        """Fold the window transaction ``tid`` out of the CI family.
 
-        ``items`` must be the evicted transaction's itemset as recorded by
-        the window driver; it is not recomputable from the store.
+        Its itemset is the one ``shift_add`` recorded in ``window``, so a
+        removal takes out exactly what was added.  The record goes only once
+        the shift is done; a failed shift leaves ``window`` as it was.
         """
         self.check_usable()
-        if tid not in self.window_tids:
+        items = self.window.get(tid)
+        if items is None:
             raise ValueError(f"tid {tid} is not in the window")
-        items = _normalize(items)
         order = items if item_order is None else _check_order(item_order, items)
         try:
-            self.window_tids.discard(tid)
-            if not items:
-                return ShiftReport("remove", tid)
-            return self.update_cis_dec(tid, self._route(order))
+            report = (self.update_cis_dec(tid, self._route(order)) if items
+                      else ShiftReport("remove", tid))
+            del self.window[tid]
+            return report
         except BaseException as e:
             self.failure = e
             raise

@@ -42,7 +42,6 @@ class StreamSource:
         self.source = source
         self.dictionary = dictionary if dictionary is not None else ItemDictionary()
         self.duplicate_tokens = 0
-        self.lines_read = 0
 
     def _lines(self) -> Iterator[bytes]:
         src = self.source
@@ -57,7 +56,6 @@ class StreamSource:
     def __iter__(self) -> Iterator[tuple]:
         intern = self.dictionary.intern
         for line_no, raw in enumerate(self._lines(), start=1):
-            self.lines_read = line_no
             if isinstance(raw, bytes):
                 try:
                     line = raw.decode("utf-8")
@@ -123,8 +121,4 @@ class StatsWriter:
         out.write(",".join(STATS_COLUMNS) + "\n")
 
     def write(self, rec: StatsRecord) -> None:
-        self.out.write(
-            f"{rec.shift},{rec.tid},{rec.op},{rec.new},{rec.promoted},"
-            f"{rec.obsolete},{rec.demoted},{rec.live_cis},{rec.trie_nodes},"
-            f"{rec.entries_scanned},{rec.wall_ns}\n"
-        )
+        self.out.write(",".join(str(getattr(rec, c)) for c in STATS_COLUMNS) + "\n")

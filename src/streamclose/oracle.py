@@ -181,8 +181,9 @@ def intersections(db: Database, t: Iterable[Hashable],
                   max_cis: int = DEFAULT_CI_CAP) -> set[frozenset]:
     """Nonempty intersections of ``t`` with the closed family, plus ``t``.
 
-    ``t`` itself is always a member (courtesy of the implicit whole-universe
-    record every shift routes), provided it is nonempty.
+    ``t`` itself is always a member, provided it is nonempty: a shift lays
+    ``t``'s own path first and starts its end node at support 0, so that
+    node is an end node even when no window transaction contains ``t``.
     """
     t = frozenset(t)
     if not t:

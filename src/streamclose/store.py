@@ -77,9 +77,6 @@ class ItemDictionary:
             self.tokens.append(token)
         return i
 
-    def token(self, item_id: int):
-        return self.tokens[item_id]
-
     def __len__(self) -> int:
         return len(self.tokens)
 

@@ -1,11 +1,11 @@
 """Stream replay driver: tid assignment, FIFO window, push sequencing.
 
-The driver owns the dictionary, the mining state and the window buffer, and
-is the only code that sequences a push: ``evict`` removes the oldest
-transaction when a sliding window is full, then ``push_ids`` adds the new
-one, so the buffer never exceeds its capacity; landmark mode never evicts.
-Evicted itemsets are taken from the buffer, which is the only place
-transaction contents survive between shifts.  Maintenance always tracks the
+The driver owns the dictionary and the mining state, and is the only code
+that sequences a push: ``evict`` removes the oldest transaction when a
+sliding window is full, then ``push_ids`` adds the new one, so the window
+never exceeds its capacity; landmark mode never evicts.  The engine's
+``window`` records what each transaction holds; the driver keeps only the
+policy: the tid counter and when to evict.  Maintenance always tracks the
 full family; the emission threshold is an argument of ``snapshot`` only.
 Raw tokens enter through ``push``; ``push_ids`` takes interned ids.
 """
@@ -13,7 +13,6 @@ Raw tokens enter through ``push``; ``push_ids`` takes interned ids.
 from __future__ import annotations
 
 import time
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -77,7 +76,6 @@ class StreamDriver:
         self.config = config
         self.dictionary = dictionary if dictionary is not None else ItemDictionary()
         self.engine = MinerEngine()
-        self.buffer: deque[tuple[int, tuple]] = deque()
         self.next_tid = 0
 
     def push(self, tokens: Iterable) -> tuple[ShiftReport | None, ShiftReport]:
@@ -92,36 +90,35 @@ class StreamDriver:
         """Evict the oldest transaction if the sliding window is full.
 
         Returns the removal report, or None when the window has room or runs
-        in landmark mode.  The buffer drops its entry only after the engine
-        accepted the removal.
+        in landmark mode.  Tids are handed out consecutively and leave in
+        arrival order, so the oldest is ``next_tid - len(window)``: O(1),
+        where scanning a dict for its first live key is not.
         """
         cfg = self.config
-        if cfg.mode != SLIDING or len(self.buffer) < cfg.capacity:
+        window = self.engine.window
+        if cfg.mode != SLIDING or len(window) < cfg.capacity:
             return None
-        old_tid, old_items = self.buffer[0]
-        removed = self.engine.shift_remove(old_tid, old_items)
-        self.buffer.popleft()
-        return removed
+        return self.engine.shift_remove(self.next_tid - len(window))
 
     def push_ids(self, items: Iterable[int]) -> tuple[ShiftReport | None, ShiftReport]:
         """Push an already-interned itemset.
 
         Returns the eviction report (None when nothing was evicted) and the
         addition report.  The new tid is checked before the eviction runs,
-        and the buffer and tid counter change only after the engine accepted
-        a half, so a rejected push leaves the driver as it was.  An engine
-        left unusable by a failed shift refuses the push before ``items`` is
-        read, so a lazy ``map`` over ``intern`` interns nothing.
+        and the engine's window and the tid counter change only after the
+        engine accepted a half, so a rejected push leaves the driver as it
+        was.  An engine left unusable by a failed shift refuses the push
+        before ``items`` is read, so a lazy ``map`` over ``intern`` interns
+        nothing.
         """
         self.engine.check_usable()
         items = tuple(sorted(set(items)))
         tid = self.next_tid
-        if tid in self.engine.window_tids:
+        if tid in self.engine.window:
             raise ValueError(f"tid {tid} is already in the window")
         removed = self.evict()
         added = self.engine.shift_add(tid, items)
         self.next_tid = tid + 1
-        self.buffer.append((tid, items))
         return removed, added
 
     def snapshot(self, min_supp: int = 1) -> list[tuple[tuple, int]]:

@@ -76,8 +76,9 @@ def record_of(store: CIStore, ci_id: int) -> CIRecord:
     raise KeyError(ci_id)
 
 
-def window_db(buffer) -> dict:
-    return {tid: frozenset(items) for tid, items in buffer}
+def window_db(pairs) -> dict:
+    """Referee database of (tid, itemset) pairs, say ``engine.window.items()``."""
+    return {tid: frozenset(items) for tid, items in pairs}
 
 
 def random_stream(rng: random.Random, alphabet: int, length: int,
@@ -326,8 +327,11 @@ def settle_from_table(table, ci0: CIRecord) -> None:
             n.next_supp = e.top_supp - 1
 
 
-def step_shift(eng: MinerEngine, tid, items, kind: str, table=None) -> ShiftReport:
+def step_shift(eng: MinerEngine, kind: str, tid, items=None, table=None) -> ShiftReport:
     """Run one shift through the per-entry reference form.
+
+    An addition folds in ``items``; a removal reads the itemset from
+    ``eng.window``, as ``shift_remove`` does, and ``items`` stays None.
 
     Routes the bootstrap record and every (item, CI) entry through
     expand_path, puts every routed cursor back on ``DETACHED`` as the
@@ -337,15 +341,14 @@ def step_shift(eng: MinerEngine, tid, items, kind: str, table=None) -> ShiftRepo
     ``defaultdict(PassThrough)`` as ``table`` to inspect the bookkeeping
     afterwards.
     """
-    items = tuple(sorted(set(items)))
     if kind == "add":
-        if tid in eng.window_tids:
+        if tid in eng.window:
             raise ValueError(f"tid {tid} is already in the window")
-        eng.window_tids.add(tid)
+        items = eng.window[tid] = tuple(sorted(set(items)))
     else:
-        if tid not in eng.window_tids:
+        if tid not in eng.window:
             raise ValueError(f"tid {tid} is not in the window")
-        eng.window_tids.discard(tid)
+        items = eng.window.pop(tid)
     if not items:
         return ShiftReport(kind, tid)
     eng.trie.reset()

@@ -61,26 +61,25 @@ def test_criterion_2_golden_decrement():
     driver = landmark_driver(TABLE1)
     eng = driver.engine
 
-    tid, items = driver.buffer.popleft()
-    rep1 = eng.shift_remove(tid, items)
+    rep1 = eng.shift_remove(0)
     assert len(rep1.obsolete) == 1 and len(rep1.demoted) == 21
     want = {c: s - 1 for c, s in TABLE2.items() if c != tuple("abcdefgh")}
     assert token_family(driver) == want
 
-    tid, items = driver.buffer.popleft()
-    rep2 = eng.shift_remove(tid, items)
-    tok = driver.dictionary.token
-    obsolete = {tuple(tok(a) for a in i) for _, i in rep2.obsolete}
+    rep2 = eng.shift_remove(1)
+    tokens = driver.dictionary.tokens
+    obsolete = {tuple(tokens[a] for a in i) for _, i in rep2.obsolete}
     # the full obsolete set also contains f (witnessed by fh), on top of the
     # four listed ones; the referee equality below forces it either way
     assert obsolete >= {tuple("abc"), tuple("cf"), tuple("ef"), tuple("abcef")}
     assert obsolete == {tuple("abc"), tuple("cf"), tuple("ef"), tuple("abcef"),
                         tuple("f")}
-    demoted = {tuple(tok(a) for a in materialize_itemset(eng.store, eng.index,
-                                                         record_of(eng.store, cid)))
+    demoted = {tuple(tokens[a] for a in materialize_itemset(eng.store, eng.index,
+                                                            record_of(eng.store, cid)))
                for cid in rep2.demoted}
     assert demoted == {tuple("bc"), tuple("c")}
-    db = {t: frozenset(x) for t, x in driver.buffer}
+    db = {t: frozenset(x) for t, x in eng.window.items()}
+    assert sorted(db) == list(range(2, 10))
     assert ids_family(eng) == oracle.closed_itemsets(db)
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
@@ -90,7 +89,7 @@ def test_criterion_2_golden_decrement():
 def test_criterion_3_category_report():
     driver = landmark_driver(TABLE1[:9])
     eng = driver.engine
-    tok = driver.dictionary.token
+    tok = driver.dictionary.tokens.__getitem__
     _, report = driver.push(TABLE1[9])
     new = {tuple(tok(a) for a in i): s for _, i, s in report.new_cis}
     assert new == {tuple("bcgh"): 2, tuple("cgh"): 3, tuple("gh"): 4, tuple("h"): 5}
@@ -161,6 +160,8 @@ def audit_shift(eng, kind, t_items, db_before, db_after, fam_before,
     fam_miner, by_id_after = family_and_ids(eng)
     if fam_miner != fam_after:
         tally.divergences.append(f"{where}: family mismatch")
+    if {j: frozenset(x) for j, x in eng.window.items()} != db_after:
+        tally.divergences.append(f"{where}: window record mismatch")
     if kind == "add":
         got_new = {frozenset(i) for _, i, _ in report.new_cis}
         got_promoted = {by_id_before[c] for c in report.promoted}
@@ -284,7 +285,7 @@ def fuzz() -> FuzzTally:
                 l_m = eng.store.live_count
                 pre = len(oitems) + sum(scan_length(eng.index, a) for a in oitems)
                 recs = list(eng.store.records.values())
-                rep = eng.shift_remove(otid, oitems)
+                rep = eng.shift_remove(otid)
                 tally.shifts += 1
                 db_after = {j: frozenset(x) for j, x in window}
                 fam, by_id = audit_shift(
@@ -340,7 +341,7 @@ def test_criterion_5_round_trip_identity():
         probe = tuple(sorted(rng.sample(range(alpha),
                                         rng.randint(1, min(8, alpha)))))
         eng.shift_add(10_000, probe)
-        eng.shift_remove(10_000, probe)
+        eng.shift_remove(10_000)
         after_records = {r.id: (r.itemset, r.support, r.size)
                          for r in eng.store.records.values()}
         assert after_records == before_records, f"case {case}"
@@ -374,12 +375,14 @@ def test_criterion_8_order_independence():
             cats2 = (sorted((i, s) for _, i, s in r2.new_cis), len(r2.promoted))
         else:
             otid, oitems = window.pop(rng.randrange(len(window)))
-            r1 = fwd.shift_remove(otid, oitems)
-            r2 = rev.shift_remove(otid, oitems, item_order=tuple(reversed(oitems)))
+            r1 = fwd.shift_remove(otid)
+            r2 = rev.shift_remove(otid, item_order=tuple(reversed(oitems)))
             cats1 = (sorted(i for _, i in r1.obsolete), len(r1.demoted))
             cats2 = (sorted(i for _, i in r2.obsolete), len(r2.demoted))
         assert cats1 == cats2, f"case {case}"
         assert fwd.snapshot(1) == rev.snapshot(1), f"case {case}"
+        if case % 2:
+            assert fwd.window == rev.window == dict(window), f"case {case}"
     report_pass(8, f"{N_ORDER_SHIFTS} reversed-order shifts gave identical "
                    f"snapshots and categories")
 

@@ -37,7 +37,7 @@ from conftest import (
 
 
 def tokens_of(driver, items):
-    return tuple(driver.dictionary.token(a) for a in items)
+    return tuple(driver.dictionary.tokens[a] for a in items)
 
 
 def promoted_tokens(driver, report):
@@ -93,12 +93,12 @@ def test_add_empty_itemset_is_noop():
     assert report.new_cis == [] and report.promoted == []
     assert report.nodes_created == 0 and report.entries_scanned == 0
     assert ids_family(eng) == before
-    assert 2 in eng.window_tids
+    assert eng.window == {1: (0, 1), 2: ()}
 
 
 def test_new_ci_support_is_closure_support_plus_one(table3_driver):
     driver = table3_driver
-    db = window_db(driver.buffer)
+    db = window_db(driver.engine.window.items())
     _, report = driver.push(TABLE1[9])
     # supports recorded before the shift: fgh:3 -> gh:4, fh:4 -> h:5
     fam = oracle.closed_itemsets(db)
@@ -113,8 +113,7 @@ def test_new_ci_support_is_closure_support_plus_one(table3_driver):
 def test_remove_first_transaction_demotes_everything(table2_driver):
     driver = table2_driver
     eng = driver.engine
-    tid, items = driver.buffer.popleft()
-    report = eng.shift_remove(tid, items)
+    report = eng.shift_remove(0)
     assert [tokens_of(driver, i) for _, i in report.obsolete] == [tuple("abcdefgh")]
     assert len(report.demoted) == 21
     want = {items: supp - 1 for items, supp in TABLE2.items()
@@ -125,9 +124,9 @@ def test_remove_first_transaction_demotes_everything(table2_driver):
 def test_remove_second_transaction_golden(table2_driver):
     driver = table2_driver
     eng = driver.engine
-    for _ in range(2):
-        tid, items = driver.buffer.popleft()
-        report = eng.shift_remove(tid, items)
+    for tid in range(2):
+        items = eng.window[tid]
+        report = eng.shift_remove(tid)
     obsolete = {tokens_of(driver, i) for _, i in report.obsolete}
     assert obsolete == {tuple("abc"), tuple("cf"), tuple("ef"), tuple("abcef"),
                         tuple("f")}
@@ -135,7 +134,7 @@ def test_remove_second_transaction_golden(table2_driver):
                                                      record_of(eng.store, cid)))
                for cid in report.demoted}
     assert demoted == {tuple("bc"), tuple("c")}
-    assert ids_family(eng) == oracle.closed_itemsets(window_db(driver.buffer))
+    assert ids_family(eng) == oracle.closed_itemsets(window_db(eng.window.items()))
     # trace detail at the cf end node: its own record (support 2) on top,
     # the cdfgh record (support 1) as the certifying runner-up ending there
     d = driver.dictionary
@@ -153,7 +152,20 @@ def test_remove_unknown_tid_rejected():
     eng = MinerEngine()
     eng.shift_add(1, (0,))
     with pytest.raises(ValueError):
-        eng.shift_remove(2, (0,))
+        eng.shift_remove(2)
+
+
+def test_removal_takes_out_only_what_was_added():
+    # the removal used to take its itemset from the caller, so naming tid 1
+    # with (0,) was accepted and left {0, 1} at support 1 in a window that
+    # holds only (0,)
+    eng = MinerEngine()
+    eng.shift_add(1, (0, 1))
+    eng.shift_add(2, (0,))
+    eng.shift_remove(1)
+    assert eng.window == {2: (0,)}
+    assert ids_family(eng) == oracle.closed_itemsets(window_db(eng.window.items()))
+    assert eng.snapshot(1) == [((0,), 1)]
 
 
 def test_add_rejected_order_leaves_state_unchanged():
@@ -161,26 +173,28 @@ def test_add_rejected_order_leaves_state_unchanged():
     root = eng.trie.root  # a shift that ran would have reset the trie
     with pytest.raises(ValueError):
         eng.shift_add(1, [1, 3], item_order=[1, 4])
-    assert eng.window_tids == set() and eng.trie.root is root
+    assert eng.window == {} and eng.trie.root is root
     assert ids_family(eng) == {}
     eng.shift_add(1, [1, 3], item_order=[3, 1])
     assert ids_family(eng) == {frozenset({1, 3}): 1}
-    eng.shift_remove(1, [1, 3])
+    eng.shift_remove(1)
     assert ids_family(eng) == {}
     check_store_invariants(eng.store, eng.index)
 
 
 def test_remove_rejected_order_leaves_state_unchanged():
+    # the window records the normalized itemset, and a removal's order is
+    # checked against it
     eng = MinerEngine()
-    eng.shift_add(1, [1, 3])
+    eng.shift_add(1, iter([3, 1, 3]))
     eng.shift_add(2, [1])
     before = ids_family(eng)
     root = eng.trie.root  # a shift that ran would have reset the trie
     with pytest.raises(ValueError):
-        eng.shift_remove(1, [1, 3], item_order=[1, 4])
-    assert eng.window_tids == {1, 2} and eng.trie.root is root
+        eng.shift_remove(1, item_order=[1, 4])
+    assert eng.window == {1: (1, 3), 2: (1,)} and eng.trie.root is root
     assert ids_family(eng) == before
-    eng.shift_remove(1, [1, 3], item_order=[3, 1])
+    eng.shift_remove(1, item_order=[3, 1])
     assert ids_family(eng) == {frozenset({1}): 1}
     check_store_invariants(eng.store, eng.index)
 
@@ -202,10 +216,14 @@ def test_failed_shift_poisons_the_engine(kind):
         eng.shift_add(3, (2,))
         eng.index.remove = broken
         with pytest.raises(MemoryError):
-            eng.shift_remove(1, (0, 1))
+            eng.shift_remove(1)
     assert isinstance(eng.failure, MemoryError)
+    # the window changes only once a shift is done, so a poisoned engine
+    # still holds the window its state can be rebuilt from
+    assert eng.window == ({1: (0, 1), 2: (1,)} if kind == "add"
+                          else {1: (0, 1), 2: (1,), 3: (2,)})
     for call in (lambda: eng.shift_add(4, (5,)),
-                 lambda: eng.shift_remove(2, (1,)),
+                 lambda: eng.shift_remove(2),
                  lambda: eng.snapshot(1),
                  lambda: eng.closure_record((1,))):
         with pytest.raises(RuntimeError, match="failed part-way") as err:
@@ -218,20 +236,20 @@ def test_rejections_do_not_poison():
     eng.shift_add(1, (0, 1))
     for call in (lambda: eng.shift_add(1, (2,)),
                  lambda: eng.shift_add(2, (0, 1), item_order=(0, 2)),
-                 lambda: eng.shift_remove(5, (0,)),
-                 lambda: eng.shift_remove(1, (0, 1), item_order=(1,))):
+                 lambda: eng.shift_remove(5),
+                 lambda: eng.shift_remove(1, item_order=(1,))):
         with pytest.raises(ValueError):
             call()
     assert eng.failure is None
     assert eng.closure_record((0,)).support == 1
-    eng.shift_remove(1, (0, 1))
+    eng.shift_remove(1)
     assert eng.snapshot(1) == []
 
 
 def test_remove_last_transaction_empties_family():
     eng = MinerEngine()
     eng.shift_add(1, (3, 4))
-    eng.shift_remove(1, (3, 4))
+    eng.shift_remove(1)
     assert eng.snapshot(1) == []
     assert eng.store.live_count == 0
     check_store_invariants(eng.store, eng.index)
@@ -241,7 +259,7 @@ def test_remove_duplicate_transaction_only_demotes():
     eng = MinerEngine()
     eng.shift_add(1, (0, 1))
     eng.shift_add(2, (0, 1))
-    report = eng.shift_remove(1, (0, 1))
+    report = eng.shift_remove(1)
     assert report.obsolete == []
     assert len(report.demoted) == 1
     assert ids_family(eng) == {frozenset((0, 1)): 1}
@@ -262,14 +280,13 @@ def test_stale_runner_entry_does_not_certify(table2_driver):
     shifted = []
     for driver, shift in ((table2_driver, None), (landmark_driver(TABLE1), step_shift)):
         eng = driver.engine
-        tid, items = driver.buffer.popleft()
-        eng.shift_remove(tid, items)
+        eng.shift_remove(0)
         abcef_rec = next(rec for rec in eng.store.records.values() if rec.size == 5)
-        tid, items = driver.buffer.popleft()
+        items = eng.window[1]
         if shift is None:
-            report = eng.shift_remove(tid, items)
+            report = eng.shift_remove(1)
         else:
-            report = shift(eng, tid, items, "remove", table)
+            report = shift(eng, "remove", 1, table=table)
         assert all_detached(eng.store.records.values()) and abcef_rec.cursor is DETACHED
         node_abc = abc_node(driver)
         above_end = []                      # abcef ends deeper, below abc
@@ -300,8 +317,7 @@ def test_remove_shrinks_inverted_lists(table2_driver):
     g, h = d.intern("g"), d.intern("h")
     len_g = len(eng.index.lists[g])
     len_h = len(eng.index.lists[h])
-    tid, items = driver.buffer.pop()  # evict the newest transaction (bcgh)
-    report = eng.shift_remove(tid, items)
+    report = eng.shift_remove(9)  # evict the newest transaction (bcgh)
     obsolete = {tokens_of(driver, i) for _, i in report.obsolete}
     assert obsolete == {tuple("h"), tuple("gh"), tuple("cgh"), tuple("bcgh")}
     # gh's removal takes one entry from each of g and h; the other obsolete
@@ -317,7 +333,7 @@ def test_remove_size_one_ci_touches_one_list():
     eng.shift_add(1, (0,))
     eng.shift_add(2, (0, 1))
     # family: {0}:2, {0,1}:1 ; removing tid 2 obsoletes {0,1}
-    report = eng.shift_remove(2, (0, 1))
+    report = eng.shift_remove(2)
     assert [i for _, i in report.obsolete] == [(0, 1)]
     assert ids_family(eng) == {frozenset((0,)): 1}
 
@@ -365,15 +381,14 @@ def test_every_cursor_rests_on_detached_between_shifts(table3_driver):
     old_nodes = list(eng.trie.nodes)
     before = list(eng.store.records.values())
     driver.push(TABLE1[9])  # bcgh shares nothing with {d}
-    routed = enders(eng.trie, before, driver.buffer[-1][1])
+    routed = enders(eng.trie, before, eng.window[9])
     assert sum(map(len, routed.values())) > 1
     assert d_rec not in [r for group in routed.values() for r in group]
     assert all_detached(eng.store.records.values()) and all_detached(before)
     assert not in_current_trie(eng, DETACHED)
     assert all(n.child is None for n in old_nodes)  # child links cut by the reset
     # a removal puts its cursors back too
-    tid, items = driver.buffer.popleft()
-    eng.shift_remove(tid, items)
+    eng.shift_remove(0)
     assert all_detached(before)
 
 
@@ -515,9 +530,9 @@ def test_step_ops_equal_fast_loops():
         live = []
         for tid, items in enumerate(stream):
             if live and rng.random() < 0.35:
-                otid, oitems = live.pop(0)
-                r1 = fast.shift_remove(otid, oitems)
-                r2 = step_shift(slow, otid, oitems, "remove")
+                otid = live.pop(0)
+                r1 = fast.shift_remove(otid)
+                r2 = step_shift(slow, "remove", otid)
                 assert sorted(i for _, i in r1.obsolete) == \
                     sorted(i for _, i in r2.obsolete)
                 assert len(r1.demoted) == len(r2.demoted)
@@ -525,8 +540,8 @@ def test_step_ops_equal_fast_loops():
                 assert r1.nodes_created == r2.nodes_created
                 assert fast.snapshot(1) == slow.snapshot(1)
             r1 = fast.shift_add(tid, items)
-            r2 = step_shift(slow, tid, items, "add")
-            live.append((tid, items))
+            r2 = step_shift(slow, "add", tid, items)
+            live.append(tid)
             assert sorted((i, s) for _, i, s in r1.new_cis) == \
                 sorted((i, s) for _, i, s in r2.new_cis)
             assert len(r1.promoted) == len(r2.promoted)
@@ -555,7 +570,8 @@ def test_sliding_routing_work_is_pinned():
                       "promoted": 7205, "obsolete": 4241, "demoted": 7138}
     assert driver.live_cis == 246
     assert driver.engine.index.entry_count == 802
-    assert ids_family(driver.engine) == oracle.closed_itemsets(window_db(driver.buffer))
+    assert ids_family(driver.engine) == oracle.closed_itemsets(
+        window_db(driver.engine.window.items()))
 
 
 def test_stored_itemsets_match_the_referee_after_evictions():
@@ -568,7 +584,7 @@ def test_stored_itemsets_match_the_referee_after_evictions():
             if rep is not None:
                 obsolete += len(rep.obsolete)
     assert obsolete > 0
-    db = window_db(driver.buffer)
+    db = window_db(driver.engine.window.items())
     live = list(driver.engine.store.records.values())
     for rec in live:
         assert oracle.closure(db, rec.itemset) == frozenset(rec.itemset)
@@ -653,7 +669,7 @@ def test_closure_probe_and_scan_agree_with_the_referee():
             obsolete += len(removed.obsolete)
         if n % 20:
             continue
-        db = window_db(driver.buffer)
+        db = window_db(eng.window.items())
         queries = {q for t in db.values() for k in (1, 2, 3)
                    for q in itertools.combinations(sorted(t), k)}
         for q in sorted(queries):

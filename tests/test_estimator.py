@@ -69,13 +69,13 @@ def test_partial_fit_initializes():
 
 def test_sliding_window_enforced():
     miner = ClosedItemsetStreamMiner(window_size=9, mode="sliding").fit(TABLE1)
-    db = window_db(miner.driver_.buffer)
-    tok = miner.driver_.dictionary.token
-    want = {tuple(sorted(tok(a) for a in c)): s
+    db = window_db(miner.driver_.engine.window.items())
+    tokens = miner.driver_.dictionary.tokens
+    want = {tuple(sorted(tokens[a] for a in c)): s
             for c, s in oracle.closed_itemsets(db).items()}
     got = {tuple(sorted(items)): s for items, s in miner.discover()}
     assert got == want
-    assert len(miner.driver_.buffer) == 9
+    assert sorted(db) == list(range(1, 10))
 
 
 def test_sliding_without_window_size_fails_at_fit():
@@ -208,7 +208,7 @@ def test_every_entry_point_applies_the_one_token_rule(case):
                           f" at position {position}"))
 
     def state():
-        return (miner.driver_, list(driver.dictionary.tokens), list(driver.buffer),
+        return (miner.driver_, list(driver.dictionary.tokens), dict(driver.engine.window),
                 driver.next_tid, miner.n_seen_, miner.discover())
 
     before = state()
@@ -290,11 +290,11 @@ def test_queries_pick_the_closure_in_any_token_order():
     stream = [list("wxyv"), list("wxy"), list("wx"), list("xu"), list("xt"), list("xut"),
               list("x")]
     miner = ClosedItemsetStreamMiner().fit(stream)
-    db = window_db(miner.driver_.buffer)
-    tok = miner.driver_.dictionary.token
+    db = window_db(miner.driver_.engine.window.items())
+    tokens = miner.driver_.dictionary.tokens
     for query in [("w", "x"), ("w", "x", "y"), ("x", "u")]:
         ids = [miner.driver_.dictionary.intern(t) for t in query]
-        want = {tok(a) for a in oracle.closure(db, ids)}
+        want = {tokens[a] for a in oracle.closure(db, ids)}
         for order in itertools.permutations(query):
             assert miner.predict([order]) == [len(oracle.support_tids(db, ids))]
             assert set(miner.transform([order])[0]) == want
@@ -321,13 +321,14 @@ def test_failed_shift_poisons_the_miner():
         miner.update(["d"])
 
     def state():
-        return (list(driver.dictionary.tokens), list(driver.buffer), driver.next_tid,
+        return (list(driver.dictionary.tokens), dict(eng.window), driver.next_tid,
                 miner.n_seen_)
 
     # every call is refused before it interns a token (partial_fit and the
     # driver's pushes used to intern first)
     before = state()
     assert before[0] == ["a", "b", "c", "d"]
+    assert before[1] == {0: (0, 1), 1: (2,)}  # the window before the failed shift
     for call in (lambda: miner.update(["e"]),
                  lambda: miner.partial_fit([["e", "f"]]),
                  lambda: miner.partial_fit([]),

@@ -15,7 +15,7 @@ from conftest import TABLE1, TABLE2, landmark_driver
 def test_read_line_sorted_and_interned():
     src = read_fimi(b"1 3 2\n")
     assert list(src) == [(0, 1, 2)]
-    assert src.dictionary.token(1) == "3"
+    assert src.dictionary.tokens[1] == "3"
 
 
 def test_read_blank_line_is_empty_basket():

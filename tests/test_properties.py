@@ -36,20 +36,39 @@ def drive(stream, capacity):
 @settings(max_examples=60, deadline=None)
 def test_family_matches_referee_after_every_push(stream, capacity):
     driver = StreamDriver(WindowConfig(capacity=capacity, mode="sliding"))
+    window = driver.engine.window
     for t in stream:
         driver.push_ids(tuple(sorted(t)))
-        want = oracle.closed_itemsets(window_db(driver.buffer))
+        want = oracle.closed_itemsets(window_db(window.items()))
         assert ids_family(driver.engine) == want
         # an item keeps an inverted list only while a window transaction holds it
-        assert set(driver.engine.index.lists) == {a for _, items in driver.buffer for a in items}
+        assert set(driver.engine.index.lists) == {a for items in window.values() for a in items}
     check_store_invariants(driver.engine.store, driver.engine.index)
+
+
+@given(st.lists(st.frozensets(st.integers(0, 9), max_size=6), max_size=30),
+       st.integers(1, 8))
+@settings(max_examples=60, deadline=None)
+def test_window_holds_the_last_pushes(stream, capacity):
+    # the engine's window is the only record of the window's contents: after
+    # every push it holds the newest pushes, consecutive tids, at most
+    # capacity of them, each with the itemset pushed under its tid
+    driver = StreamDriver(WindowConfig(capacity=capacity, mode="sliding"))
+    window = driver.engine.window
+    for t in stream:
+        driver.push_ids(t)
+        assert len(window) <= capacity
+        assert sorted(window) == list(range(driver.next_tid - len(window), driver.next_tid))
+        assert len(window) == min(driver.next_tid, capacity)
+        assert {tid: frozenset(items) for tid, items in window.items()} == {
+            tid: stream[tid] for tid in window}
 
 
 @given(transactions, st.integers(1, 8))
 @settings(max_examples=40, deadline=None)
 def test_supports_recomputed_by_referee(stream, capacity):
     driver = drive(stream, capacity)
-    db = window_db(driver.buffer)
+    db = window_db(driver.engine.window.items())
     eng = driver.engine
     for items, supp in eng.snapshot(1):
         assert supp == len(oracle.support_tids(db, items))
@@ -66,7 +85,7 @@ def test_round_trip_restores_records(stream, extra):
               for rec in eng.store.records.values()}
     snap = eng.snapshot(1)
     eng.shift_add(10_000, tuple(sorted(extra)))
-    eng.shift_remove(10_000, tuple(sorted(extra)))
+    eng.shift_remove(10_000)
     after = {rec.id: (rec.itemset, rec.support, rec.size)
              for rec in eng.store.records.values()}
     assert before == after
@@ -87,7 +106,7 @@ def test_report_sizes_partition_the_work_set(stream, t_new):
     # and dually for the removal
     db[10_000] = t_new
     delta_rm = oracle.intersections({k: v for k, v in db.items()}, t_new)
-    report_rm = eng.shift_remove(10_000, tuple(sorted(t_new)))
+    report_rm = eng.shift_remove(10_000)
     assert len(report_rm.obsolete) + len(report_rm.demoted) == len(delta_rm)
 
 
@@ -154,7 +173,7 @@ def test_end_node_keeps_its_top_and_the_next_best_support(stream, capacity):
             if kind == "add":
                 eng.shift_add(stid, sitems)
             else:
-                eng.shift_remove(stid, sitems)
+                eng.shift_remove(stid)
             assert all_detached(rec for rec, _ in before)
             supp_of = dict(before)
             groups = enders(eng.trie, supp_of, sitems)
@@ -174,6 +193,7 @@ def test_end_node_keeps_its_top_and_the_next_best_support(stream, capacity):
                     others.append(0)
                 assert n.next_supp < n.top_supp
                 assert n.next_supp == max(others, default=SUPPORT_FLOOR)
+        assert dict(window) == eng.window
 
 
 def test_work_bound_and_entry_formula():
@@ -181,28 +201,28 @@ def test_work_bound_and_entry_formula():
     for _ in range(30):
         alpha = rng.randint(4, 12)
         capacity = rng.randint(1, 20)
-        driver = StreamDriver(WindowConfig(capacity=capacity, mode="sliding"))
-        eng = driver.engine
+        eng = MinerEngine()
+        window = []
         k_m = 0
-        for _ in range(rng.randint(20, 60)):
+        for tid in range(rng.randint(20, 60)):
             items = tuple(sorted(rng.sample(range(alpha),
                                             rng.randint(1, min(8, alpha)))))
             k_m = max(k_m, len(items))
             l_m = eng.store.live_count
             expected_entries = len(items) + sum(
                 scan_length(eng.index, a) for a in items)
-            if len(driver.buffer) >= capacity:
-                otid, oitems = driver.buffer.popleft()
+            if len(window) >= capacity:
+                otid, oitems = window.pop(0)
                 exp_rm = len(oitems) + sum(scan_length(eng.index, a) for a in oitems)
-                rep = eng.shift_remove(otid, oitems)
+                rep = eng.shift_remove(otid)
                 assert rep.entries_scanned == exp_rm
                 assert rep.nodes_created <= rep.entries_scanned + 1
                 l_m = eng.store.live_count
                 expected_entries = len(items) + sum(
                     scan_length(eng.index, a) for a in items)
-            rep = driver.engine.shift_add(driver.next_tid, items)
-            driver.buffer.append((driver.next_tid, items))
-            driver.next_tid += 1
+            rep = eng.shift_add(tid, items)
+            window.append((tid, items))
+            assert dict(window) == eng.window
             assert rep.entries_scanned == expected_entries
             assert rep.nodes_created <= k_m * l_m + len(items) + 1
             assert rep.nodes_created <= rep.entries_scanned + 1
@@ -218,8 +238,8 @@ def test_item_order_independence(stream):
         rev.shift_add(tid, items, item_order=tuple(reversed(items)))
         assert fwd.snapshot(1) == rev.snapshot(1)
     items = tuple(sorted(stream[0]))
-    r1 = fwd.shift_remove(0, items)
-    r2 = rev.shift_remove(0, items, item_order=tuple(reversed(items)))
+    r1 = fwd.shift_remove(0)
+    r2 = rev.shift_remove(0, item_order=tuple(reversed(items)))
     assert fwd.snapshot(1) == rev.snapshot(1)
     assert sorted(i for _, i in r1.obsolete) == sorted(i for _, i in r2.obsolete)
 

@@ -3,7 +3,8 @@
 Hypothesis interleaves partial_fit, update, predict, transform and discover
 on one miner, in sliding mode (capacity 1-6) or landmark mode, over an
 alphabet of eight tokens.  Every answer is checked against the referee on
-the driver's window buffer, and the whole family after every step.
+the engine's window record, and the whole family after every step; the
+record itself must hold the last pushes, at most the capacity of them.
 """
 
 from hypothesis import settings
@@ -31,9 +32,9 @@ class QueryMachine(RuleBasedStateMachine):
         self.pushed = 0
 
     def window(self) -> dict:
-        tok = self.miner.driver_.dictionary.token
-        return {tid: frozenset(tok(a) for a in items)
-                for tid, items in self.miner.driver_.buffer}
+        tokens = self.miner.driver_.dictionary.tokens
+        return {tid: frozenset(tokens[a] for a in items)
+                for tid, items in self.miner.driver_.engine.window.items()}
 
     @rule(batch=st.lists(transactions, max_size=4))
     def partial_fit(self, batch):
@@ -79,8 +80,8 @@ class QueryMachine(RuleBasedStateMachine):
     def family_matches_referee(self):
         driver = self.miner.driver_
         assert self.miner.n_seen_ == self.pushed
-        if self.capacity is not None:
-            assert len(driver.buffer) == min(self.pushed, self.capacity)
+        held = self.pushed if self.capacity is None else min(self.pushed, self.capacity)
+        assert sorted(driver.engine.window) == list(range(self.pushed - held, self.pushed))
         want = oracle.closed_itemsets(self.window())
         assert {frozenset(c): s for c, s in driver.snapshot(1)} == want
 

@@ -34,7 +34,7 @@ def test_intern_dense_first_seen():
     d = ItemDictionary()
     assert d.intern("5") == 0
     assert d.intern("12") == 1
-    assert d.token(0) == "5" and d.token(1) == "12"
+    assert d.tokens[0] == "5" and d.tokens[1] == "12"
 
 
 def test_intern_alphabet_in_order():
@@ -83,7 +83,7 @@ def test_fresh_store_holds_no_records():
 def test_materialize_table2_ci16():
     store, index, d = build_table2_state()
     items = materialize_itemset(store, index, record_of(store, 16))
-    assert tuple(d.token(a) for a in items) == ("b", "c")
+    assert tuple(d.tokens[a] for a in items) == ("b", "c")
 
 
 def test_materialize_singleton():
@@ -108,8 +108,7 @@ def test_materialize_after_removal_is_lookup_error():
     gh = tuple(d.intern(t) for t in "gh")
     gh_rec = eng.store.records[gh]
     assert materialize_itemset(eng.store, eng.index, gh_rec) == gh
-    tid, items = driver.buffer.pop()
-    report = eng.shift_remove(tid, items)
+    report = eng.shift_remove(9)
     assert gh_rec.id in {cid for cid, _ in report.obsolete}
     assert gh not in eng.store.records
     with pytest.raises(KeyError):
@@ -288,5 +287,5 @@ def test_store_invariants_catch_an_altered_itemset():
 def test_snapshot_reads_the_records_alone():
     store, _, d = build_table2_state()
     rows = snapshot(store, 5)
-    assert [("".join(d.token(a) for a in items), s) for items, s in rows] == [
+    assert [("".join(d.tokens[a] for a in items), s) for items, s in rows] == [
         ("bc", 5), ("c", 6), ("d", 5), ("f", 5), ("g", 5), ("h", 5)]

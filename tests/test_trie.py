@@ -115,7 +115,7 @@ def test_golden_trie_after_tenth_transaction():
     assert len(trie.nodes) == len(prefixes) + 1 == 11
     ends = end_nodes(trie)
     assert len(ends) == len(delta) == 7
-    got = {tuple(d.token(a) for a in n.itemset()) for n in ends}
+    got = {tuple(d.tokens[a] for a in n.itemset()) for n in ends}
     assert got == {tuple(x) for x in ("bcgh", "cgh", "bc", "gh", "c", "g", "h")}
 
 
@@ -127,22 +127,20 @@ def test_golden_bc_path_lookup():
     node_b = child(trie, trie.root, d.intern("b"))
     node_bc = child(trie, node_b, d.intern("c"))
     assert node_bc.depth == 2
-    assert tuple(d.token(a) for a in node_bc.itemset()) == ("b", "c")
+    assert tuple(d.tokens[a] for a in node_bc.itemset()) == ("b", "c")
     # deepest end node spells the whole transaction
     deepest = max(end_nodes(trie), key=lambda n: n.depth)
-    assert tuple(d.token(a) for a in deepest.itemset()) == tuple("bcgh")
+    assert tuple(d.tokens[a] for a in deepest.itemset()) == tuple("bcgh")
     assert deepest.depth == 4
 
 
 def test_end_nodes_after_second_removal():
     driver = landmark_driver(TABLE1)
     eng = driver.engine
-    tid1, items1 = driver.buffer.popleft()
-    eng.shift_remove(tid1, items1)
-    tid2, items2 = driver.buffer.popleft()
-    eng.shift_remove(tid2, items2)
+    eng.shift_remove(0)
+    eng.shift_remove(1)
     d = driver.dictionary
-    got = {"".join(d.token(a) for a in n.itemset()) for n in end_nodes(eng.trie)}
+    got = {"".join(d.tokens[a] for a in n.itemset()) for n in end_nodes(eng.trie)}
     assert got == {"abc", "cf", "ef", "bc", "c", "abcef", "f"}
 
 

@@ -37,8 +37,8 @@ def test_push_at_capacity_removes_then_adds():
     removed, added = driver.push(TABLE1[9])
     assert removed is not None and removed.kind == "remove" and removed.tid == 0
     assert added.kind == "add" and added.tid == 9
-    assert len(driver.buffer) == 9
-    want = oracle.closed_itemsets(window_db(driver.buffer))
+    assert sorted(driver.engine.window) == list(range(1, 10))
+    want = oracle.closed_itemsets(window_db(driver.engine.window.items()))
     assert ids_family(driver.engine) == want
 
 
@@ -56,7 +56,7 @@ def test_landmark_never_removes():
         removed, _ = driver.push(tuple(set(t)))
         assert removed is None
         assert driver.evict() is None
-    assert len(driver.buffer) == 20
+    assert sorted(driver.engine.window) == list(range(20))
 
 
 def test_replay_full_window_matches_golden(tmp_path):
@@ -76,7 +76,7 @@ def test_replay_window_nine_matches_oracle():
     records = list(replay(source, driver))
     assert records[-1].op == "shift"
     assert records[-1].obsolete + records[-1].demoted > 0
-    want = oracle.closed_itemsets(window_db(driver.buffer))
+    want = oracle.closed_itemsets(window_db(driver.engine.window.items()))
     assert ids_family(driver.engine) == want
 
 
@@ -104,7 +104,7 @@ def test_empty_baskets_occupy_slots():
     driver.push(())           # empty basket
     driver.push(("c",))       # evicts ("a","b")
     assert driver.snapshot() == [(("c",), 1)]
-    assert len(driver.buffer) == 2
+    assert driver.engine.window == {1: (), 2: (driver.dictionary.intern("c"),)}
 
 
 def test_rejected_push_leaves_driver_unchanged():
@@ -114,29 +114,34 @@ def test_rejected_push_leaves_driver_unchanged():
     eng = driver.engine
 
     def state():
-        return list(driver.buffer), driver.next_tid, set(eng.window_tids), ids_family(eng)
+        return driver.next_tid, dict(eng.window), ids_family(eng)
 
-    # evict the oldest transaction behind the driver's back: the engine then
-    # refuses the driver's eviction, which must not lose the buffered entry
-    old_tid, old_items = driver.buffer[0]
-    eng.shift_remove(old_tid, old_items)
+    # evict the newest transaction behind the driver's back; the next push
+    # finds room, and the one after computes tid 1 as the oldest, which is
+    # gone: the engine refuses that eviction, so the push changes nothing
+    eng.shift_remove(1)
+    removed, _ = driver.push_ids((2, 3))
+    assert removed is None and eng.window == {0: (0, 1), 2: (2, 3)}
     before = state()
-    with pytest.raises(ValueError):
-        driver.push_ids((2, 3))
+    with pytest.raises(ValueError, match="tid 1 is not in the window"):
+        driver.push_ids((3, 4))
     assert state() == before
-    eng.shift_add(old_tid, old_items)
+    # evicting the oldest behind its back just leaves room
+    eng.shift_remove(0)
+    removed, _ = driver.push_ids((3, 4))
+    assert removed is None and eng.window == {2: (2, 3), 3: (3, 4)}
 
     # occupy the next tid: the addition would be refused, so nothing is evicted
     eng.shift_add(driver.next_tid, (9,))
     before = state()
     with pytest.raises(ValueError):
-        driver.push_ids((2, 3))
+        driver.push_ids((4, 5))
     assert state() == before
-    eng.shift_remove(driver.next_tid, (9,))
+    eng.shift_remove(driver.next_tid)
 
-    driver.push_ids((2, 3))
-    assert [tid for tid, _ in driver.buffer] == [1, 2]
-    assert ids_family(eng) == oracle.closed_itemsets(window_db(driver.buffer))
+    removed, _ = driver.push_ids((4, 5))
+    assert removed.tid == 2 and sorted(eng.window) == [3, 4]
+    assert ids_family(eng) == oracle.closed_itemsets(window_db(eng.window.items()))
 
 
 def test_push_stats_wiring():
@@ -154,23 +159,24 @@ def test_evict_keeps_the_entry_the_engine_refuses():
     driver.push_ids((0, 1))
     driver.push_ids((1, 2))
     eng = driver.engine
-    # evict the oldest transaction behind the driver's back: the engine then
-    # refuses the driver's eviction, which must not lose the buffered entry
-    old_tid, old_items = driver.buffer[0]
-    eng.shift_remove(old_tid, old_items)
-    before = list(driver.buffer), driver.next_tid
+    # evict the newest transaction behind the driver's back, then refill:
+    # the driver's oldest tid, 1, is gone, so the engine refuses the
+    # eviction, and the window the engine keeps must stay as it was
+    eng.shift_remove(1)
+    driver.push_ids((2, 3))
+    before = driver.next_tid, dict(eng.window), ids_family(eng)
     with pytest.raises(ValueError):
         driver.evict()
-    assert (list(driver.buffer), driver.next_tid) == before
-    eng.shift_add(old_tid, old_items)
+    assert (driver.next_tid, dict(eng.window), ids_family(eng)) == before
+    eng.shift_remove(0)                       # the oldest: this leaves room
 
-    removed = driver.evict()
-    assert removed.kind == "remove" and removed.tid == 0
-    assert [tid for tid, _ in driver.buffer] == [1]
     assert driver.evict() is None             # below capacity now
-    removed, added = driver.push_ids((2, 3))  # room left: nothing evicted
-    assert removed is None and added.tid == 2
-    assert ids_family(eng) == oracle.closed_itemsets(window_db(driver.buffer))
+    removed, added = driver.push_ids((3, 4))  # room left: nothing evicted
+    assert removed is None and added.tid == 3
+    removed = driver.evict()
+    assert removed.kind == "remove" and removed.tid == 2
+    assert eng.window == {3: (3, 4)}
+    assert ids_family(eng) == oracle.closed_itemsets(window_db(eng.window.items()))
 
 
 def test_snapshot_translates_known_ids_and_passes_the_rest_through():
@@ -222,7 +228,7 @@ def test_rejected_push_interns_no_token(bad):
 
     def state():
         return (list(driver.dictionary.tokens), driver.next_tid,
-                list(driver.buffer), driver.snapshot())
+                dict(driver.engine.window), driver.snapshot())
 
     before = state()
     with pytest.raises((TypeError, ValueError)):
@@ -256,7 +262,7 @@ def test_replay_rows_match_the_referee_classes():
         came = oracle.classify_add(db, items)
         assert (row.new, row.promoted) == (len(came.new), len(came.promoted))
         db[row.tid] = frozenset(items)
-        assert db == window_db(driver.buffer)
+        assert db == window_db(driver.engine.window.items())
         assert row.live_cis == len(oracle.closed_itemsets(db))
         for k in ("new", "promoted", "obsolete", "demoted"):
             totals[k] += getattr(row, k)
