@@ -9,7 +9,7 @@ provides ground truth for verification.
 
 from .engine import MinerEngine, ShiftReport
 from .estimator import ClosedItemsetStreamMiner, NotFittedError
-from .formats import ParseError, StreamSource, read_fimi, write_snapshot
+from .formats import ParseError, StreamSource
 from .store import ItemDictionary
 from .window import StatsRecord, StreamDriver, WindowConfig, replay
 
@@ -26,8 +26,6 @@ __all__ = [
     "StreamDriver",
     "StreamSource",
     "WindowConfig",
-    "read_fimi",
     "replay",
-    "write_snapshot",
     "__version__",
 ]

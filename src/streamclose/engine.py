@@ -19,9 +19,9 @@ phases:
      node's depth marks a promotion, anything else a creation one above
      the node's support.  On removal, a next-best support one unit below
      the top certifies the node's CI obsolete; otherwise it is demoted.
-  3. Store update.  Created CIs enter the inverted lists of their items
-     and keep their itemset on their record; obsolete ones leave the store
-     and every list their record names.
+  3. Store update.  A created CI's record keeps its itemset, and the index
+     files the record under exactly those items; an obsolete CI leaves the
+     store, and the index unfiles it from the lists its record names.
 
 The lemmas behind phases 1 and 2 are written out, with the tests that
 check them, in docs/algorithm.md.
@@ -221,7 +221,7 @@ class MinerEngine:
             else:
                 itemset = n.itemset()
                 rec = store.new_ci(s + 1, itemset)
-                index.add(rec, itemset)
+                index.add(rec)
                 new_cis.append((rec.id, itemset, rec.support))
         return report
 
@@ -230,7 +230,9 @@ class MinerEngine:
 
         Another CI ending on the end node one support unit below its lone
         top certifies the node's CI obsolete; otherwise the top is demoted.
-        t is in the window, so its own node must have a top.
+        t is in the window, so its own node must have a top.  An obsolete CI
+        ends on its own node, so the node's depth must be its size; it then
+        leaves the index and the store.
         """
         report = ShiftReport("remove", tid, nodes_created=len(self.trie.nodes),
                              entries_scanned=entries_scanned)
@@ -248,26 +250,16 @@ class MinerEngine:
                     f"end node {n.itemset()}: expected a lone top CI, but another "
                     f"CI ending there has support {n.next_supp} >= {n.top_supp}")
             if n.next_supp == n.top_supp - 1:
-                obsolete.append((x.id, self.remove_ci(n, x)))
+                if n.depth != x.size:
+                    raise AssertionError(
+                        f"CI {x.id}: path length {n.depth} vs size {x.size}")
+                self.index.remove(x)
+                self.store.remove(x)
+                obsolete.append((x.id, x.itemset))
             else:
                 x.support -= 1
                 demoted.append(x.id)
         return report
-
-    def remove_ci(self, n: TrieNode, record: CIRecord) -> tuple:
-        """Drop an obsolete CI from the store and all its inverted lists.
-
-        The record's itemset names the lists to fix up.  The CI ends on its
-        own node, so the node's path is that itemset and its depth the size.
-        """
-        itemset = record.itemset
-        if n.depth != record.size:
-            raise AssertionError(
-                f"CI {record.id}: path length {n.depth} vs size {record.size}"
-            )
-        self.index.remove(record, itemset)
-        self.store.remove(record)
-        return itemset
 
     # ------------------------------------------------------------------
     # queries

@@ -182,7 +182,7 @@ class ClosedItemsetStreamMiner:
         the closure's ids ascend, so its first and last id clear it whole.
         """
         driver = self._require_fitted()
-        engine = driver.engine
+        store = driver.engine.store
         tokens = driver.dictionary.tokens
         known = len(tokens)
         out = []
@@ -193,7 +193,7 @@ class ClosedItemsetStreamMiner:
                 out.append(None)
             else:
                 closure = []
-                items = materialize_itemset(engine.store, engine.index, rec)
+                items = materialize_itemset(store, rec)
                 if 0 <= items[0] and items[-1] < known:
                     for a in items:
                         closure.append(tokens[a])

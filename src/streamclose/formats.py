@@ -34,14 +34,13 @@ class StreamSource:
     """Line-oriented transaction reader with an item dictionary.
 
     Iterating yields one deduplicated ascending itemset of interned item ids
-    per input line.  Duplicate tokens within a line are collapsed and
-    counted in ``duplicate_tokens``.
+    per input line; tokens are interned in first-seen order, and duplicate
+    tokens within a line collapse.
     """
 
     def __init__(self, source, dictionary: ItemDictionary | None = None):
         self.source = source
         self.dictionary = dictionary if dictionary is not None else ItemDictionary()
-        self.duplicate_tokens = 0
 
     def _lines(self) -> Iterator[bytes]:
         src = self.source
@@ -66,23 +65,7 @@ class StreamSource:
             line = line.rstrip("\r\n")
             if _CONTROL.search(line):
                 raise ParseError(line_no, "control character in item token")
-            tokens = line.split()
-            if not tokens:
-                yield ()
-                continue
-            ids = set()
-            for t in tokens:
-                i = intern(t)
-                if i in ids:
-                    self.duplicate_tokens += 1
-                else:
-                    ids.add(i)
-            yield tuple(sorted(ids))
-
-
-def read_fimi(source, dictionary: ItemDictionary | None = None) -> StreamSource:
-    """Reader over a path, bytes, or an iterable of lines."""
-    return StreamSource(source, dictionary)
+            yield tuple(sorted(set(map(intern, line.split()))))
 
 
 def snapshot_lines(snapshot: Iterable[tuple[tuple, int]], fmt: str = "tsv") -> Iterator[str]:
@@ -99,11 +82,6 @@ def snapshot_lines(snapshot: Iterable[tuple[tuple, int]], fmt: str = "tsv") -> I
         return (json.dumps({"itemset": list(items), "support": supp}) + "\n"
                 for items, supp in snapshot)
     raise ValueError(f"unknown snapshot format {fmt!r}")
-
-
-def write_snapshot(snapshot: Iterable[tuple[tuple, int]], fmt: str = "tsv") -> str:
-    """The whole text of ``snapshot_lines``, a deterministic text format."""
-    return "".join(snapshot_lines(snapshot, fmt))
 
 
 def save_snapshot(path, snapshot: Iterable[tuple[tuple, int]], fmt: str = "tsv") -> None:

@@ -1,13 +1,14 @@
 """Persistent cross-shift state: CI records, inverted index, item dictionary.
 
 A closed itemset (CI) is stored as a record of support, size and its
-ascending itemset tuple, and its composition is also spread over the
-inverted index, one entry per (item, CI) pair.  The lists serve routing and
-closure lookup; the tuple on the record serves emission and closure
-materialization, which would otherwise rebuild every itemset from the lists.
-Keeping the tuple costs no copy (it is the one the addition that created the
-CI builds for the index and its shift report), and emission then allocates
-no per-CI list, which on the benchmark's workloads more than pays for the
+ascending itemset tuple, the one statement of the CI's composition: the
+inverted index files the record under each item the tuple names, one entry
+per (item, CI) pair, so no caller can file it under items it does not hold.
+The lists serve routing and closure lookup; the tuple serves emission and a
+closure's itemset, which would otherwise rebuild every itemset from the
+lists.  Keeping the tuple costs no copy (it is the one the addition that
+created the CI builds for its shift report), and emission then allocates no
+per-CI list, which on the benchmark's workloads more than pays for the
 stored tuples in peak memory.  Each inverted list is an insertion-ordered
 dict keyed by record, so adding, removing and testing one entry are O(1)
 while routing still iterates the list in a fixed order.
@@ -77,9 +78,6 @@ class ItemDictionary:
             self.tokens.append(token)
         return i
 
-    def __len__(self) -> int:
-        return len(self.tokens)
-
 
 class CIRecord:
     """Bookkeeping for one closed itemset.
@@ -89,8 +87,8 @@ class CIRecord:
     new record starts there and routing puts each cursor back, so no
     cursor keeps a finished trie alive.
 
-    ``itemset`` is the CI's ascending item-id tuple, the same items whose
-    inverted lists hold the record and its key in ``CIStore.records``.
+    ``itemset`` is the CI's ascending item-id tuple: the items whose lists
+    the index files the record in, and its key in ``CIStore.records``.
     Keeping it here makes emission one pass over the records and a
     closure's itemset one attribute read, instead of a rebuild from the
     lists.  ``size`` is its length.
@@ -153,17 +151,21 @@ class CIStore:
 class InvertedIndex:
     """item id -> the CI records containing that item.
 
-    Each list is a dict mapping record -> None, iterated in insertion order;
-    only the set of members carries meaning.  ``remove`` drops a list that
-    empties, since a dict keeps its peak-size table after deletes.
+    A record is filed under, and unfiled from, exactly the items of its
+    ``itemset``.  Each list is a dict mapping record -> None, iterated in
+    insertion order; only the set of members carries meaning.  ``remove``
+    drops a list that empties, since a dict keeps its peak-size table after
+    deletes.
     """
 
     def __init__(self):
         self.lists: dict[int, dict[CIRecord, None]] = {}
         self.entry_count = 0
 
-    def add(self, record: CIRecord, items) -> None:
+    def add(self, record: CIRecord) -> None:
+        """File ``record`` in the list of every item of its itemset."""
         lists = self.lists
+        items = record.itemset
         for a in items:
             lst = lists.get(a)
             if lst is None:
@@ -172,13 +174,14 @@ class InvertedIndex:
                 lst[record] = None
         self.entry_count += len(items)
 
-    def remove(self, record: CIRecord, items) -> None:
-        """Remove ``record`` from the list of every item in ``items``.
+    def remove(self, record: CIRecord) -> None:
+        """Unfile ``record`` from the list of every item of its itemset.
 
         A missing entry means the index and the store disagree, which is an
         internal invariant violation, not a user error.
         """
         lists = self.lists
+        items = record.itemset
         for a in items:
             try:
                 lst = lists[a]
@@ -192,24 +195,18 @@ class InvertedIndex:
         self.entry_count -= len(items)
 
 
-def materialize_itemset(store: CIStore, index: InvertedIndex, record: CIRecord) -> tuple:
+def materialize_itemset(store: CIStore, record: CIRecord) -> tuple:
     """The ascending itemset of a live CI, as kept on its record.
 
-    KeyError when ``record`` is no longer live.  Checks the record against
-    the index on the way: the tuple's length must be the record's size and
-    the record must sit in each of its items' lists, one O(1) probe per item.
+    KeyError when ``record`` is no longer live: the store must still file
+    the record under its itemset, which tells a removed record from the
+    live one that took its itemset since.  The record is the one statement
+    of which lists hold the CI, so nothing is checked against the index
+    here; the tests audit that invariant after every shift.
     """
     itemset = record.itemset
     if store.records.get(itemset) is not record:
         raise KeyError(record.id)
-    if len(itemset) != record.size:
-        raise AssertionError(
-            f"CI {record.id}: record holds {len(itemset)} items, size says {record.size}"
-        )
-    lists = index.lists
-    for a in itemset:
-        if record not in lists.get(a, ()):
-            raise AssertionError(f"CI {record.id} missing from inverted list of item {a}")
     return itemset
 
 

@@ -92,13 +92,20 @@ class StreamDriver:
         Returns the removal report, or None when the window has room or runs
         in landmark mode.  Tids are handed out consecutively and leave in
         arrival order, so the oldest is ``next_tid - len(window)``: O(1),
-        where scanning a dict for its first live key is not.
+        where scanning a dict for its first live key is not.  That holds
+        only while this driver is its engine's only writer; when the tid it
+        computes is not in the window, the window was changed outside the
+        driver, and ``evict`` raises ValueError and changes nothing.
         """
         cfg = self.config
         window = self.engine.window
         if cfg.mode != SLIDING or len(window) < cfg.capacity:
             return None
-        return self.engine.shift_remove(self.next_tid - len(window))
+        oldest = self.next_tid - len(window)
+        if oldest not in window:
+            raise ValueError(f"the window was changed outside this driver "
+                             f"(tid {oldest} is not in the window)")
+        return self.engine.shift_remove(oldest)
 
     def push_ids(self, items: Iterable[int]) -> tuple[ShiftReport | None, ShiftReport]:
         """Push an already-interned itemset.

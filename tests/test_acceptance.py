@@ -74,8 +74,8 @@ def test_criterion_2_golden_decrement():
     assert obsolete >= {tuple("abc"), tuple("cf"), tuple("ef"), tuple("abcef")}
     assert obsolete == {tuple("abc"), tuple("cf"), tuple("ef"), tuple("abcef"),
                         tuple("f")}
-    demoted = {tuple(tokens[a] for a in materialize_itemset(eng.store, eng.index,
-                                                            record_of(eng.store, cid)))
+    demoted = {tuple(tokens[a] for a in materialize_itemset(
+        eng.store, record_of(eng.store, cid)))
                for cid in rep2.demoted}
     assert demoted == {tuple("bc"), tuple("c")}
     db = {t: frozenset(x) for t, x in eng.window.items()}
@@ -93,8 +93,8 @@ def test_criterion_3_category_report():
     _, report = driver.push(TABLE1[9])
     new = {tuple(tok(a) for a in i): s for _, i, s in report.new_cis}
     assert new == {tuple("bcgh"): 2, tuple("cgh"): 3, tuple("gh"): 4, tuple("h"): 5}
-    promoted = {tuple(tok(a) for a in materialize_itemset(eng.store, eng.index,
-                                                          record_of(eng.store, cid)))
+    promoted = {tuple(tok(a) for a in materialize_itemset(
+        eng.store, record_of(eng.store, cid)))
                 for cid in report.promoted}
     assert promoted == {tuple("bc"), tuple("c"), tuple("g")}
     # supports obey "closure support before the shift, plus one"

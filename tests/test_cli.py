@@ -1,10 +1,19 @@
 """Command-line behavior and exit codes."""
 
+import contextlib
+import io
+import tempfile
+from pathlib import Path
+
 import pytest
 
 import random
 
-from streamclose import StreamDriver, StreamSource, WindowConfig, cli, oracle, write_snapshot
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from streamclose import StreamDriver, StreamSource, WindowConfig, cli, oracle
+from streamclose.formats import snapshot_lines
 from conftest import TABLE1, TABLE2
 
 
@@ -86,8 +95,8 @@ def test_mine_periodic_snapshots_match_the_driver(tmp_path):
         periodic = tmp_path / f"snap.tsv.{k:08d}"
         assert periodic.exists() == (k % 7 == 0)
         if k % 7 == 0:
-            assert periodic.read_text() == write_snapshot(driver.snapshot(3))
-    assert out.read_text() == write_snapshot(driver.snapshot(3))
+            assert periodic.read_text() == "".join(snapshot_lines(driver.snapshot(3)))
+    assert out.read_text() == "".join(snapshot_lines(driver.snapshot(3)))
 
 
 def test_mine_jsonl_format(d10, tmp_path):
@@ -188,3 +197,45 @@ def test_byte_identical_reruns(d10, tmp_path):
     # stats contain wall times; compare the deterministic prefix columns
     strip = lambda p: ["," .join(line.split(",")[:10]) for line in p.read_text().splitlines()]
     assert strip(sa) == strip(sb)
+
+
+# A FIMI line: tokens from a small vocabulary, repeats allowed, joined by
+# runs of spaces or tabs; an empty token list is a blank line (an empty
+# basket).
+fimi_lines = st.lists(
+    st.tuples(st.lists(st.sampled_from(["b", "a", "10", "2", "zz"]), max_size=6),
+              st.sampled_from([" ", "  ", "\t"])),
+    min_size=1, max_size=12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(lines=fimi_lines, window=st.integers(1, 6), landmark=st.booleans())
+def test_mine_and_verify_on_generated_files(lines, window, landmark):
+    # the TSV that mine writes is the referee's family of the final window,
+    # in tokens, its rows ordered by first-seen ids; verify checks every
+    # shift of the same file clean
+    text = "".join(sep.join(tokens) + "\n" for tokens, sep in lines)
+    first_seen = {}
+    for tokens, _ in lines:
+        for t in tokens:
+            first_seen.setdefault(t, len(first_seen))
+    kept = lines if landmark else lines[-window:]
+    want = oracle.closed_itemsets(
+        {tid: frozenset(tokens) for tid, (tokens, _) in enumerate(kept)})
+    mode = ["--mode", "landmark"] if landmark else ["--window", str(window)]
+    with tempfile.TemporaryDirectory() as tmp:
+        data, out = Path(tmp) / "gen.dat", Path(tmp) / "out.tsv"
+        data.write_text(text)
+        assert cli.main(["mine", "--input", str(data), *mode,
+                         "--emit-snapshot", str(out)]) == 0
+        rows = [line.split("\t") for line in out.read_text().splitlines()]
+        verify_window = str(len(lines)) if landmark else str(window)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["verify", "--input", str(data),
+                             "--window", verify_window]) == 0
+    got = {frozenset(items.split(" ")): int(supp) for items, supp in rows}
+    assert len(got) == len(rows)
+    assert got == want
+    ids = [[first_seen[t] for t in items.split(" ")] for items, _ in rows]
+    assert all(row == sorted(row) for row in ids)
+    assert ids == sorted(ids)

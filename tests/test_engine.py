@@ -42,8 +42,8 @@ def tokens_of(driver, items):
 
 def promoted_tokens(driver, report):
     eng = driver.engine
-    return {tokens_of(driver, materialize_itemset(eng.store, eng.index,
-                                                  record_of(eng.store, cid)))
+    return {tokens_of(driver, materialize_itemset(
+        eng.store, record_of(eng.store, cid)))
             for cid in report.promoted}
 
 
@@ -130,8 +130,8 @@ def test_remove_second_transaction_golden(table2_driver):
     obsolete = {tokens_of(driver, i) for _, i in report.obsolete}
     assert obsolete == {tuple("abc"), tuple("cf"), tuple("ef"), tuple("abcef"),
                         tuple("f")}
-    demoted = {tokens_of(driver, materialize_itemset(eng.store, eng.index,
-                                                     record_of(eng.store, cid)))
+    demoted = {tokens_of(driver, materialize_itemset(
+        eng.store, record_of(eng.store, cid)))
                for cid in report.demoted}
     assert demoted == {tuple("bc"), tuple("c")}
     assert ids_family(eng) == oracle.closed_itemsets(window_db(eng.window.items()))
@@ -205,7 +205,7 @@ def test_failed_shift_poisons_the_engine(kind):
     eng.shift_add(1, (0, 1))
     eng.shift_add(2, (1,))
 
-    def broken(record, items):
+    def broken(record):
         raise MemoryError("simulated")
 
     if kind == "add":
@@ -348,7 +348,7 @@ def test_expand_path_walks_bc(table3_driver):
     d = driver.dictionary
     b, c = d.intern("b"), d.intern("c")
     bc = eng.store.records[(b, c)]
-    assert materialize_itemset(eng.store, eng.index, bc) == (b, c)
+    assert materialize_itemset(eng.store, bc) == (b, c)
     eng.trie.reset()
     table = defaultdict(PassThrough)
     ci0 = bootstrap_record()
@@ -376,7 +376,7 @@ def test_every_cursor_rests_on_detached_between_shifts(table3_driver):
     eng = driver.engine
     d = (driver.dictionary.intern("d"),)
     d_rec = eng.store.records[d]
-    assert materialize_itemset(eng.store, eng.index, d_rec) == d
+    assert materialize_itemset(eng.store, d_rec) == d
     assert all_detached(eng.store.records.values())
     old_nodes = list(eng.trie.nodes)
     before = list(eng.store.records.values())
@@ -455,7 +455,7 @@ def test_update_gen_inc_tracks_class_closure(table3_driver):
     # the class closure of {h} before the shift was fh at support 4, and fh
     # is not contained in bcgh, so its support is untouched
     assert top.support == 4
-    assert materialize_itemset(eng.store, eng.index, top) == \
+    assert materialize_itemset(eng.store, top) == \
         tuple(d.intern(t) for t in "fh")
 
 
@@ -627,7 +627,7 @@ def test_closure_picks_max_support_superset_in_any_order(stream, query):
     for order in itertools.permutations(query):
         rec = eng.closure_record(order)
         assert rec.support == len(oracle.support_tids(db, query))
-        assert frozenset(materialize_itemset(eng.store, eng.index, rec)) == want
+        assert frozenset(materialize_itemset(eng.store, rec)) == want
 
 
 def test_closure_of_fully_evicted_item_is_none():

@@ -6,38 +6,40 @@ import tracemalloc
 
 import pytest
 
-from streamclose import ItemDictionary, ParseError, read_fimi, write_snapshot
-from streamclose.formats import STATS_COLUMNS, StatsWriter, save_snapshot
+from streamclose import ItemDictionary, ParseError, StreamSource
+from streamclose.formats import STATS_COLUMNS, StatsWriter, save_snapshot, snapshot_lines
 from streamclose.window import StatsRecord
 from conftest import TABLE1, TABLE2, landmark_driver
 
 
 def test_read_line_sorted_and_interned():
-    src = read_fimi(b"1 3 2\n")
+    src = StreamSource(b"1 3 2\n")
     assert list(src) == [(0, 1, 2)]
     assert src.dictionary.tokens[1] == "3"
 
 
 def test_read_blank_line_is_empty_basket():
-    src = read_fimi(b"1 2\n\n3\n")
+    src = StreamSource(b"1 2\n\n3\n")
     assert list(src) == [(0, 1), (), (2,)]
 
 
-def test_read_duplicates_collapse_with_counter():
-    src = read_fimi(b"7 7 8 7\n8 8\n")
-    assert list(src) == [(0, 1), (1,)]
-    assert src.duplicate_tokens == 3
+def test_read_duplicates_collapse_in_first_seen_order():
+    # ids follow each token's first appearance, not its sorted position,
+    # and a token repeated within a line is one item of it
+    src = StreamSource(b"9 8 9 7\n8 8\n")
+    assert list(src) == [(0, 1, 2), (1,)]
+    assert src.dictionary.tokens == ["9", "8", "7"]
 
 
 def test_read_control_character_is_parse_error():
-    src = read_fimi(b"1 2\n3 \x004\n")
+    src = StreamSource(b"1 2\n3 \x004\n")
     with pytest.raises(ParseError) as err:
         list(src)
     assert err.value.line_no == 2
 
 
 def test_read_invalid_utf8_is_parse_error():
-    src = read_fimi(b"1 2\n\xff\xfe\n")
+    src = StreamSource(b"1 2\n\xff\xfe\n")
     with pytest.raises(ParseError) as err:
         list(src)
     assert err.value.line_no == 2
@@ -45,7 +47,7 @@ def test_read_invalid_utf8_is_parse_error():
 
 def test_read_table1_reproduces_worked_example():
     text = "\n".join(" ".join(row) for row in TABLE1).encode() + b"\n"
-    src = read_fimi(text)
+    src = StreamSource(text)
     itemsets = list(src)
     assert len(itemsets) == 10
     assert itemsets[0] == tuple(range(8))
@@ -55,19 +57,24 @@ def test_read_table1_reproduces_worked_example():
 def test_read_from_path(tmp_path):
     p = tmp_path / "d.dat"
     p.write_bytes(b"5 6\n6\n")
-    assert list(read_fimi(p)) == [(0, 1), (1,)]
+    assert list(StreamSource(p)) == [(0, 1), (1,)]
 
 
 def test_read_shared_dictionary():
     d = ItemDictionary()
     d.intern("x")
-    src = read_fimi(b"y x\n", dictionary=d)
+    src = StreamSource(b"y x\n", dictionary=d)
     assert list(src) == [(0, 1)]
+
+
+def text_of(rows, fmt="tsv") -> str:
+    """The whole text ``snapshot_lines`` renders for ``rows``."""
+    return "".join(snapshot_lines(rows, fmt))
 
 
 def test_write_snapshot_tsv_golden():
     driver = landmark_driver(TABLE1)
-    text = write_snapshot(driver.snapshot(), "tsv")
+    text = text_of(driver.snapshot(), "tsv")
     lines = text.splitlines()
     assert len(lines) == len(TABLE2) == 22
     assert "b c\t5" in lines
@@ -76,24 +83,24 @@ def test_write_snapshot_tsv_golden():
 
 def test_write_snapshot_threshold_four():
     driver = landmark_driver(TABLE1)
-    text = write_snapshot(driver.snapshot(min_supp=4), "tsv")
+    text = text_of(driver.snapshot(min_supp=4), "tsv")
     assert len(text.splitlines()) == 10
 
 
 def test_write_snapshot_jsonl():
-    text = write_snapshot([(("a", "b"), 3), (("c",), 1)], "jsonl")
+    text = text_of([(("a", "b"), 3), (("c",), 1)], "jsonl")
     assert text == ('{"itemset": ["a", "b"], "support": 3}\n'
                     '{"itemset": ["c"], "support": 1}\n')
 
 
 def test_write_snapshot_empty():
-    assert write_snapshot([], "tsv") == ""
-    assert write_snapshot([], "jsonl") == ""
+    assert text_of([], "tsv") == ""
+    assert text_of([], "jsonl") == ""
 
 
 def test_write_snapshot_unknown_format():
-    with pytest.raises(ValueError):
-        write_snapshot([], "xml")
+    with pytest.raises(ValueError):  # on the call, before any row is read
+        snapshot_lines([], "xml")
 
 
 def test_save_snapshot_deterministic_bytes(tmp_path):
@@ -110,7 +117,7 @@ def test_save_snapshot_never_holds_the_whole_text(tmp_path):
     # allocates far less than the text it writes
     rows = [((f"item{i}", f"other{i % 97}", "tail"), i % 50 + 1) for i in range(10000)]
     for fmt in ("tsv", "jsonl"):
-        text = write_snapshot(rows, fmt)
+        text = text_of(rows, fmt)
         path = tmp_path / f"rows.{fmt}"
         tracemalloc.start()
         try:

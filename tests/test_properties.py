@@ -148,7 +148,7 @@ def test_end_node_top_is_the_class_closure(stream, t_new):
             assert path == t_new
             assert top is None and n.top_supp == 0
             continue
-        got = frozenset(materialize_itemset(eng.store, eng.index, top))
+        got = frozenset(materialize_itemset(eng.store, top))
         assert got == oracle.closure(db, path)
 
 

@@ -67,8 +67,7 @@ def build_table2_state():
     store, index = CIStore(), InvertedIndex()
     for text, supp in rows:
         items = tuple(d.intern(t) for t in text)
-        rec = store.new_ci(supp, items)
-        index.add(rec, items)
+        index.add(store.new_ci(supp, items))
     return store, index, d
 
 
@@ -81,22 +80,22 @@ def test_fresh_store_holds_no_records():
 
 
 def test_materialize_table2_ci16():
-    store, index, d = build_table2_state()
-    items = materialize_itemset(store, index, record_of(store, 16))
+    store, _, d = build_table2_state()
+    items = materialize_itemset(store, record_of(store, 16))
     assert tuple(d.tokens[a] for a in items) == ("b", "c")
 
 
 def test_materialize_singleton():
-    store, index, d = build_table2_state()
+    store, _, d = build_table2_state()
     g = store.records[(d.intern("g"),)]
     assert g.size == 1
-    assert materialize_itemset(store, index, g) == (d.intern("g"),)
+    assert materialize_itemset(store, g) == (d.intern("g"),)
 
 
 def test_materialize_unknown_record():
-    store, index, _ = build_table2_state()
+    store, _, _ = build_table2_state()
     with pytest.raises(KeyError):
-        materialize_itemset(store, index, CIRecord(999, 1, 2, (0, 5)))
+        materialize_itemset(store, CIRecord(999, 1, 2, (0, 5)))
 
 
 def test_materialize_after_removal_is_lookup_error():
@@ -107,12 +106,12 @@ def test_materialize_after_removal_is_lookup_error():
     d = driver.dictionary
     gh = tuple(d.intern(t) for t in "gh")
     gh_rec = eng.store.records[gh]
-    assert materialize_itemset(eng.store, eng.index, gh_rec) == gh
+    assert materialize_itemset(eng.store, gh_rec) == gh
     report = eng.shift_remove(9)
     assert gh_rec.id in {cid for cid, _ in report.obsolete}
     assert gh not in eng.store.records
     with pytest.raises(KeyError):
-        materialize_itemset(eng.store, eng.index, gh_rec)
+        materialize_itemset(eng.store, gh_rec)
 
 
 def test_new_ci_refuses_a_live_itemset():
@@ -128,42 +127,44 @@ def test_materialize_refuses_a_removed_record_whose_itemset_is_live_again():
     # the live one that took its key
     store, index = CIStore(), InvertedIndex()
     old = store.new_ci(1, (0, 1))
-    index.add(old, old.itemset)
-    index.remove(old, old.itemset)
+    index.add(old)
+    index.remove(old)
     store.remove(old)
     with pytest.raises(KeyError):
-        materialize_itemset(store, index, old)
+        materialize_itemset(store, old)
     with pytest.raises(KeyError):
         store.remove(old)
     new = store.new_ci(1, (0, 1))
-    index.add(new, new.itemset)
+    index.add(new)
     with pytest.raises(KeyError):
-        materialize_itemset(store, index, old)
+        materialize_itemset(store, old)
     with pytest.raises(KeyError):
         store.remove(old)
     assert store.records[(0, 1)] is new
-    assert materialize_itemset(store, index, new) == (0, 1)
+    assert materialize_itemset(store, new) == (0, 1)
 
 
 def test_index_removal_leaves_other_records():
-    # the index does not consult the store, so two records may share items
+    # the index does not consult the store, so two records may share items;
+    # each is filed and unfiled under the items its own itemset names
     index = InvertedIndex()
     a = CIRecord(1, 1, 2, (0, 1))
     b = CIRecord(2, 2, 2, (0, 2))
     c = CIRecord(3, 1, 2, (0, 1))
-    index.add(a, a.itemset)
-    index.add(b, b.itemset)
-    index.add(c, c.itemset)
+    index.add(a)
+    index.add(b)
+    index.add(c)
     assert index.entry_count == 6
-    index.remove(a, (0, 1))
+    index.remove(a)
     assert set(index.lists[0]) == {b, c}
     assert set(index.lists[1]) == {c}
     assert set(index.lists[2]) == {b}
     assert index.entry_count == 4
-    with pytest.raises(AssertionError):
-        index.remove(a, (0, 1))
-    with pytest.raises(AssertionError):
-        index.remove(b, (7,))
+    with pytest.raises(AssertionError, match="CI 1 missing"):
+        index.remove(a)
+    # a record naming an item that has no list
+    with pytest.raises(AssertionError, match="of item 7"):
+        index.remove(CIRecord(4, 1, 1, (7,)))
 
 
 # ---------------------------------------------------------------------------
@@ -241,17 +242,9 @@ def test_store_invariants_catch_a_record_without_support():
 
 
 def test_materialize_returns_the_stored_tuple():
-    store, index, _ = build_table2_state()
+    store, _, _ = build_table2_state()
     rec = record_of(store, 16)
-    assert materialize_itemset(store, index, rec) is rec.itemset
-
-
-def test_materialize_catches_a_record_missing_from_a_list():
-    store, index, _ = build_table2_state()
-    rec = record_of(store, 16)
-    del index.lists[rec.itemset[0]][rec]
-    with pytest.raises(AssertionError):
-        materialize_itemset(store, index, rec)
+    assert materialize_itemset(store, rec) is rec.itemset
 
 
 def test_store_invariants_catch_a_missing_list_entry():

@@ -144,6 +144,29 @@ def test_rejected_push_leaves_driver_unchanged():
     assert ids_family(eng) == oracle.closed_itemsets(window_db(eng.window.items()))
 
 
+def test_evict_refuses_a_window_written_outside_the_driver():
+    # an addition made straight on the engine breaks the driver's count of
+    # its oldest tid (next_tid - len(window) is -1 here); evict must say
+    # so, not name that tid as missing, and change nothing
+    driver = StreamDriver(WindowConfig(capacity=2, mode="sliding"))
+    driver.push_ids((0, 1))
+    driver.push_ids((1, 2))
+    eng = driver.engine
+    eng.shift_add(100, (5,))
+    before = driver.next_tid, dict(eng.window), ids_family(eng), eng.store.next_id
+    for call in (driver.evict, lambda: driver.push_ids((3,))):
+        with pytest.raises(ValueError, match="changed outside this driver"):
+            call()
+        assert (driver.next_tid, dict(eng.window), ids_family(eng),
+                eng.store.next_id) == before
+        assert eng.failure is None
+    # taking the stray transaction back out lets the driver go on
+    eng.shift_remove(100)
+    removed, added = driver.push_ids((3,))
+    assert removed.tid == 0 and added.tid == 2 and sorted(eng.window) == [1, 2]
+    assert ids_family(eng) == oracle.closed_itemsets(window_db(eng.window.items()))
+
+
 def test_push_stats_wiring():
     driver = StreamDriver(WindowConfig(capacity=3, mode="sliding"))
     stream = [(0, 1, 2), (1, 2), (0, 2, 3), (2, 3)]
