@@ -102,7 +102,7 @@ def _cmd_mine(args) -> int:
 
 def _diff_families(got: dict, want: dict, dictionary) -> str:
     def name(items):
-        return " ".join(str(dictionary.tokens[a]) for a in sorted(items))
+        return " ".join(str(t) for t in dictionary.tokens_of(tuple(sorted(items))))
 
     lines = []
     for x in sorted(set(want) - set(got), key=sorted):
@@ -159,9 +159,9 @@ def _cmd_oracle(args) -> int:
     source = StreamSource(args.input)
     db = {i: frozenset(items) for i, items in enumerate(source)}
     fam = oracle.closed_itemsets(db)
-    tokens = source.dictionary.tokens
+    tokens_of = source.dictionary.tokens_of
     rows = sorted((tuple(sorted(items)), supp) for items, supp in fam.items())
-    out = [(tuple(tokens[a] for a in items), supp) for items, supp in rows]
+    out = [(tokens_of(items), supp) for items, supp in rows]
     sys.stdout.writelines(snapshot_lines(out, "tsv"))
     return EXIT_OK
 

@@ -21,19 +21,12 @@ query's position, is built only then.
 
 from __future__ import annotations
 
-from .store import check_itemset, materialize_itemset
+from .store import check_int, check_itemset, materialize_itemset
 from .window import LANDMARK, StreamDriver, WindowConfig
 
 
 class NotFittedError(ValueError):
     """Estimator used before fit/partial_fit."""
-
-
-def _check_min_support(ms) -> int:
-    """Refuse a threshold that is not an ``int`` (``bool`` is not one)."""
-    if isinstance(ms, bool) or not isinstance(ms, int):
-        raise TypeError(f"min_support must be an int, got {ms!r}")
-    return ms
 
 
 def _transactions(X):
@@ -82,7 +75,7 @@ class ClosedItemsetStreamMiner:
     driver_ : StreamDriver
         The underlying window driver, available after fitting.
     n_seen_ : int
-        Number of transactions consumed so far.
+        Transactions pushed since ``fit``: the driver's tid counter.
 
     Examples
     --------
@@ -125,15 +118,15 @@ class ClosedItemsetStreamMiner:
 
     # -- streaming ----------------------------------------------------------
 
-    def _make_driver(self) -> StreamDriver:
-        return StreamDriver(WindowConfig(capacity=self.window_size, mode=self.mode))
+    @property
+    def n_seen_(self) -> int:
+        return self.driver_.next_tid
 
     def fit(self, X, y=None) -> "ClosedItemsetStreamMiner":
         """Reset state and consume ``X``; a refused ``X`` changes nothing."""
-        _check_min_support(self.min_support)
+        check_int(self.min_support, "min_support")
         batch = [check_itemset(x, i) for i, x in enumerate(_transactions(X))]
-        self.driver_ = self._make_driver()
-        self.n_seen_ = 0
+        self.driver_ = StreamDriver(WindowConfig(capacity=self.window_size, mode=self.mode))
         return self._consume(batch)
 
     def partial_fit(self, X, y=None) -> "ClosedItemsetStreamMiner":
@@ -141,7 +134,7 @@ class ClosedItemsetStreamMiner:
         if not hasattr(self, "driver_"):
             return self.fit(X)
         self.driver_.engine.check_usable()
-        _check_min_support(self.min_support)
+        check_int(self.min_support, "min_support")
         return self._consume(
             [check_itemset(x, i) for i, x in enumerate(_transactions(X))])
 
@@ -151,14 +144,11 @@ class ClosedItemsetStreamMiner:
         intern = self.driver_.dictionary.intern
         for tokens in batch:
             push_ids(map(intern, tokens))
-            self.n_seen_ += 1
         return self
 
     def update(self, transaction):
         """Push a single transaction; returns the (evict, add) shift reports."""
-        reports = self._require_fitted().push(transaction)
-        self.n_seen_ += 1
-        return reports
+        return self._require_fitted().push(transaction)
 
     # -- queries ------------------------------------------------------------
 
@@ -170,21 +160,19 @@ class ClosedItemsetStreamMiner:
         """
         driver = self._require_fitted()
         ms = self.min_support if min_support is None else min_support
-        return driver.snapshot(max(1, _check_min_support(ms)))
+        return driver.snapshot(max(1, check_int(ms, "min_support")))
 
     def transform(self, X) -> list[tuple | None]:
         """Map each query itemset to its closure in the current window.
 
         The closure is the largest itemset contained in exactly the window
         transactions that contain the query.  Queries covered by no window
-        transaction (and empty queries) map to None.  As in ``discover``, an
-        id pushed around the dictionary has no token and stays as it is;
-        the closure's ids ascend, so its first and last id clear it whole.
+        transaction (and empty queries) map to None.  As in ``discover``,
+        the closure's ids are translated by ``ItemDictionary.tokens_of``.
         """
         driver = self._require_fitted()
         store = driver.engine.store
-        tokens = driver.dictionary.tokens
-        known = len(tokens)
+        dictionary = driver.dictionary
         out = []
         i = 0
         for x in _transactions(X):
@@ -192,15 +180,7 @@ class ClosedItemsetStreamMiner:
             if rec is None:
                 out.append(None)
             else:
-                closure = []
-                items = materialize_itemset(store, rec)
-                if 0 <= items[0] and items[-1] < known:
-                    for a in items:
-                        closure.append(tokens[a])
-                else:
-                    for a in items:
-                        closure.append(tokens[a] if 0 <= a < known else a)
-                out.append(tuple(closure))
+                out.append(dictionary.tokens_of(materialize_itemset(store, rec)))
             i += 1
         return out
 

@@ -7,10 +7,10 @@ same replay always produces byte-identical files.
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 import re
-from pathlib import Path
 from typing import Iterable, Iterator
 
 from .store import ItemDictionary
@@ -18,8 +18,7 @@ from .window import StatsRecord
 
 _CONTROL = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\x7f]")
 
-STATS_COLUMNS = ("shift", "tid", "op", "new", "promoted", "obsolete",
-                 "demoted", "live_cis", "trie_nodes", "entries_scanned", "wall_ns")
+STATS_COLUMNS = tuple(f.name for f in dataclasses.fields(StatsRecord))
 
 
 class ParseError(ValueError):
@@ -33,39 +32,29 @@ class ParseError(ValueError):
 class StreamSource:
     """Line-oriented transaction reader with an item dictionary.
 
-    Iterating yields one deduplicated ascending itemset of interned item ids
-    per input line; tokens are interned in first-seen order, and duplicate
-    tokens within a line collapse.
+    ``source`` is a file path or the file's ``bytes``.  Iterating yields one
+    deduplicated ascending itemset of interned item ids per input line;
+    tokens are interned in first-seen order, and duplicate tokens within a
+    line collapse.
     """
 
     def __init__(self, source, dictionary: ItemDictionary | None = None):
         self.source = source
         self.dictionary = dictionary if dictionary is not None else ItemDictionary()
 
-    def _lines(self) -> Iterator[bytes]:
-        src = self.source
-        if isinstance(src, (str, Path)):
-            with open(src, "rb") as f:
-                yield from f
-        elif isinstance(src, bytes):
-            yield from io.BytesIO(src)
-        else:
-            yield from src
-
     def __iter__(self) -> Iterator[tuple]:
+        src = self.source
         intern = self.dictionary.intern
-        for line_no, raw in enumerate(self._lines(), start=1):
-            if isinstance(raw, bytes):
+        with io.BytesIO(src) if isinstance(src, bytes) else open(src, "rb") as f:
+            for line_no, raw in enumerate(f, start=1):
                 try:
                     line = raw.decode("utf-8")
                 except UnicodeDecodeError as e:
                     raise ParseError(line_no, f"not valid UTF-8 ({e.reason})") from None
-            else:
-                line = raw
-            line = line.rstrip("\r\n")
-            if _CONTROL.search(line):
-                raise ParseError(line_no, "control character in item token")
-            yield tuple(sorted(set(map(intern, line.split()))))
+                line = line.rstrip("\r\n")
+                if _CONTROL.search(line):
+                    raise ParseError(line_no, "control character in item token")
+                yield tuple(sorted(set(map(intern, line.split()))))
 
 
 def snapshot_lines(snapshot: Iterable[tuple[tuple, int]], fmt: str = "tsv") -> Iterator[str]:

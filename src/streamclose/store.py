@@ -62,6 +62,13 @@ def _at(position) -> str:
     return "" if position is None else f" at position {position}"
 
 
+def check_int(x, name: str) -> int:
+    """The one int rule: ``x`` itself if it is an ``int``; ``bool`` is not one."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise TypeError(f"{name} must be an int, got {x!r}")
+    return x
+
+
 class ItemDictionary:
     """Token -> dense id mapping, ids assigned from 0 in first-seen order."""
 
@@ -77,6 +84,25 @@ class ItemDictionary:
             self._ids[token] = i
             self.tokens.append(token)
         return i
+
+    def tokens_of(self, ids: tuple) -> tuple:
+        """The tokens of a non-empty ascending id tuple, as one tuple.
+
+        An id in ``[0, len(tokens))`` becomes its token; any other id (one
+        pushed around the dictionary with ``StreamDriver.push_ids``) has no
+        token and stays as it is.  The ids ascend, so testing the first and
+        last id clears the whole tuple for the plain loop.
+        """
+        tokens = self.tokens
+        known = len(tokens)
+        out = []
+        if 0 <= ids[0] and ids[-1] < known:
+            for a in ids:
+                out.append(tokens[a])
+        else:
+            for a in ids:
+                out.append(tokens[a] if 0 <= a < known else a)
+        return tuple(out)
 
 
 class CIRecord:
@@ -213,13 +239,11 @@ def materialize_itemset(store: CIStore, record: CIRecord) -> tuple:
 def snapshot(store: CIStore, min_supp: int = 1) -> list[tuple[tuple, int]]:
     """All live CIs at or above ``min_supp`` as (ascending itemset, support).
 
-    ``min_supp`` is an ``int`` (``bool`` is not one) of at least 1.  Ordered
+    ``min_supp`` is an ``int`` (``check_int``) of at least 1.  Ordered
     lexicographically by item-id sequence, so output is deterministic for a
     given interning order.  One pass over the live records.
     """
-    if isinstance(min_supp, bool) or not isinstance(min_supp, int):
-        raise TypeError(f"min_supp must be an int, got {min_supp!r}")
-    if min_supp < 1:
+    if check_int(min_supp, "min_supp") < 1:
         raise ValueError("min_supp must be at least 1")
     rows = []
     for items, rec in store.records.items():

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .engine import MinerEngine, ShiftReport
-from .store import ItemDictionary, check_itemset
+from .store import ItemDictionary, check_int, check_itemset
 
 SLIDING = "sliding"
 LANDMARK = "landmark"
@@ -27,18 +27,16 @@ LANDMARK = "landmark"
 class WindowConfig:
     """Window parameters.
 
-    ``capacity`` is the sliding-window size, an ``int`` (``bool`` is not
-    one) or None, and is ignored in landmark mode.
+    ``capacity`` is the sliding-window size, an ``int`` (``check_int``) or
+    None, and is ignored in landmark mode.
     """
 
     capacity: int | None = None
     mode: str = SLIDING
 
     def __post_init__(self):
-        if self.capacity is not None and (
-                isinstance(self.capacity, bool) or not isinstance(self.capacity, int)):
-            raise TypeError(
-                f"capacity must be an int or None, got {self.capacity!r}")
+        if self.capacity is not None:
+            check_int(self.capacity, "capacity")
         if self.mode not in (SLIDING, LANDMARK):
             raise ValueError(f"unknown window mode {self.mode!r}")
         if self.mode == SLIDING:
@@ -131,20 +129,15 @@ class StreamDriver:
     def snapshot(self, min_supp: int = 1) -> list[tuple[tuple, int]]:
         """The closed itemsets at or above ``min_supp``, with original tokens.
 
-        Rows come in the engine's (id-lex) order.  Ids pushed around the
-        dictionary (push_ids with uninterned ints) have no token and are
-        emitted as-is.  A row's ids ascend, so testing its first and last id
-        clears the whole row for translation in one C-level ``map``.  Each
-        id row is replaced by its token row in the engine's list, which is
-        returned, so an emission never holds two full row lists.
+        Rows come in the engine's (id-lex) order, each itemset translated by
+        ``ItemDictionary.tokens_of``.  Each id row is replaced by its token
+        row in the engine's list, which is returned, so an emission never
+        holds two full row lists.
         """
-        tokens = self.dictionary.tokens
-        tok = tokens.__getitem__
-        known = len(tokens)
+        dictionary = self.dictionary
         rows = self.engine.snapshot(min_supp)
         for i, (items, supp) in enumerate(rows):
-            rows[i] = (tuple(map(tok, items)) if 0 <= items[0] and items[-1] < known
-                       else tuple(tok(a) if 0 <= a < known else a for a in items), supp)
+            rows[i] = (dictionary.tokens_of(items), supp)
         return rows
 
     @property

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import streamclose
 from streamclose import estimator
+from streamclose.formats import STATS_COLUMNS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -23,3 +24,9 @@ def test_every_public_name_is_in_the_readme():
     missing = [name for name in streamclose.__all__
                if name != "__version__" and not re.search(rf"\b{name}\b", text)]
     assert missing == []
+
+
+def test_readme_states_the_stats_header():
+    # README's header block is the one the code writes, column for column
+    header = ",".join(STATS_COLUMNS)
+    assert f"\n{header}\n" in README.read_text()

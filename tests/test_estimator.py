@@ -4,6 +4,8 @@ import functools
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from streamclose import ClosedItemsetStreamMiner, NotFittedError, oracle
 from conftest import TABLE1, TABLE2, window_db
@@ -277,6 +279,47 @@ def test_transform_keeps_ids_pushed_around_the_dictionary():
     assert miner.transform([["a"]]) == [(-1, "a")]
     miner.update(["a", "b"])
     assert miner.transform([["a"], ["b"]]) == [("a",), ("a", "b")]
+
+
+# A push of tokens from a five-token alphabet, or a push_ids of raw ids from
+# below 0 to past the dictionary's end: ids 0-4 have no token until their
+# token is pushed, and ids 5-7 never get one.
+mixed_pushes = st.lists(st.one_of(
+    st.tuples(st.just("push"), st.frozensets(st.sampled_from("abcde"), max_size=4)),
+    st.tuples(st.just("push_ids"), st.frozensets(st.integers(-3, 7), max_size=4))),
+    max_size=20)
+
+
+@settings(max_examples=80, deadline=None)
+@given(capacity=st.one_of(st.none(), st.integers(1, 5)), pushes=mixed_pushes,
+       queries=st.lists(st.frozensets(st.sampled_from("abcde"), min_size=1, max_size=3),
+                        min_size=20, max_size=20))
+def test_ids_pushed_around_the_dictionary_render_by_one_rule(capacity, pushes, queries):
+    # after every push, discover and transform render each id by the rule at
+    # that moment: an id with a token becomes it, any other id stays as it is
+    if capacity is None:
+        miner = ClosedItemsetStreamMiner(mode="landmark").fit([])
+    else:
+        miner = ClosedItemsetStreamMiner(window_size=capacity, mode="sliding").fit([])
+    driver = miner.driver_
+    for (kind, x), q in zip(pushes, queries):
+        if kind == "push":
+            driver.push(sorted(x))
+        else:
+            driver.push_ids(x)
+        tokens = driver.dictionary.tokens
+
+        def render(ids):
+            return tuple(tokens[a] if 0 <= a < len(tokens) else a for a in sorted(ids))
+
+        db = {t: frozenset(x) for t, x in driver.engine.window.items()}
+        want = sorted((tuple(sorted(c)), s) for c, s in oracle.closed_itemsets(db).items())
+        assert driver.snapshot() == [(render(c), s) for c, s in want]
+        query = [t for t in sorted(q) if t in tokens]
+        if query:
+            ids = [tokens.index(t) for t in query]
+            closure = render(oracle.closure(db, ids)) if oracle.support_tids(db, ids) else None
+            assert miner.transform([query]) == [closure]
 
 
 def test_queries_on_fully_evicted_tokens():

@@ -1,10 +1,11 @@
 """Stateful referee fuzz of the estimator's streaming and query API.
 
-Hypothesis interleaves partial_fit, update, predict, transform and discover
-on one miner, in sliding mode (capacity 1-6) or landmark mode, over an
-alphabet of eight tokens.  Every answer is checked against the referee on
-the engine's window record, and the whole family after every step; the
-record itself must hold the last pushes, at most the capacity of them.
+Hypothesis interleaves fit, partial_fit, update, pushes made on the miner's
+driver directly, predict, transform and discover on one miner, in sliding
+mode (capacity 1-6) or landmark mode, over an alphabet of eight tokens.
+Every answer is checked against the referee on the engine's window record,
+and the whole family after every step; the record itself must hold the last
+pushes, at most the capacity of them, and ``n_seen_`` must count every push.
 """
 
 from hypothesis import settings
@@ -21,15 +22,16 @@ queries = st.lists(st.frozensets(st.sampled_from(ALPHABET + ("z",)), max_size=4)
 
 
 class QueryMachine(RuleBasedStateMachine):
-    @initialize(capacity=st.one_of(st.none(), st.integers(1, 6)))
-    def start(self, capacity):
+    @initialize(capacity=st.one_of(st.none(), st.integers(1, 6)),
+                batch=st.lists(transactions, max_size=4))
+    def start(self, capacity, batch):
         if capacity is None:
             self.miner = ClosedItemsetStreamMiner(mode="landmark")
         else:
             self.miner = ClosedItemsetStreamMiner(window_size=capacity, mode="sliding")
         self.capacity = capacity
-        self.miner.fit([])
-        self.pushed = 0
+        self.miner.fit([sorted(t) for t in batch])
+        self.pushed = len(batch)
 
     def window(self) -> dict:
         tokens = self.miner.driver_.dictionary.tokens
@@ -48,6 +50,17 @@ class QueryMachine(RuleBasedStateMachine):
         assert added.kind == "add"
         assert (removed is not None) == (self.capacity is not None
                                          and self.pushed > self.capacity)
+
+    @rule(t=transactions)
+    def driver_push(self, t):
+        self.miner.driver_.push(sorted(t))
+        self.pushed += 1
+
+    @rule(t=transactions)
+    def driver_push_ids(self, t):
+        driver = self.miner.driver_
+        driver.push_ids([driver.dictionary.intern(tok) for tok in sorted(t)])
+        self.pushed += 1
 
     @rule(qs=queries)
     def predict(self, qs):
