@@ -21,7 +21,8 @@ phases:
      the top certifies the node's CI obsolete; otherwise it is demoted.
   3. Store update.  A created CI's record keeps its itemset, and the index
      files the record under exactly those items; an obsolete CI leaves the
-     store, and the index unfiles it from the lists its record names.
+     store, and once the shift's obsolete CIs are known the index unfiles
+     them together from the lists their records name.
 
 The lemmas behind phases 1 and 2 are written out, with the tests that
 check them, in docs/algorithm.md.
@@ -232,12 +233,14 @@ class MinerEngine:
         top certifies the node's CI obsolete; otherwise the top is demoted.
         t is in the window, so its own node must have a top.  An obsolete CI
         ends on its own node, so the node's depth must be its size; it then
-        leaves the index and the store.
+        leaves the store, and after the loop the index unfiles the shift's
+        obsolete CIs in one call.
         """
         report = ShiftReport("remove", tid, nodes_created=len(self.trie.nodes),
                              entries_scanned=entries_scanned)
         obsolete = report.obsolete
         demoted = report.demoted
+        gone = []
         for n in self.trie.nodes:
             if n.top_supp < 0:
                 continue
@@ -253,12 +256,14 @@ class MinerEngine:
                 if n.depth != x.size:
                     raise AssertionError(
                         f"CI {x.id}: path length {n.depth} vs size {x.size}")
-                self.index.remove(x)
                 self.store.remove(x)
+                gone.append(x)
                 obsolete.append((x.id, x.itemset))
             else:
                 x.support -= 1
                 demoted.append(x.id)
+        if gone:
+            self.index.remove(gone)
         return report
 
     # ------------------------------------------------------------------
@@ -278,13 +283,15 @@ class MinerEngine:
         probe.  Otherwise the CIs containing ``items`` are the members
         common to its items' inverted lists; the closure is the one among
         them with the query's own support, which no other common member
-        reaches, so it is the unique maximum.  One pass over the shortest
-        list finds it: a member is probed against the other lists, O(1)
-        each, only when its support beats the best so far.
+        reaches, so it is the unique maximum, and the order in which the
+        members are visited cannot change it.  The set of the shortest
+        list's records is intersected with each other list, one C-level pass
+        per list, and one loop over what is left picks the maximum.
 
         Called right after a push, a lookup pays to bring its code and data
-        back into the processor's caches, so it uses only the loops and
-        dict probes a push runs: no sort, ``filter`` or key function.
+        back into the processor's caches, so it uses only plain loops and
+        the set operations a push's unfiling runs: no sort, ``filter`` or
+        key function.
         """
         self.check_usable()
         items = _normalize(items)
@@ -304,16 +311,16 @@ class MinerEngine:
         for lst in found:
             if len(lst) < len(shortest):
                 shortest = lst
+        common = set(shortest)
+        for lst in found:
+            if lst is not shortest:
+                common.intersection_update(lst)
         closure = None
         support = 0
-        for c in shortest:
+        for c in common:
             if c.support > support:
-                for lst in found:
-                    if c not in lst:
-                        break
-                else:
-                    closure = c
-                    support = c.support
+                closure = c
+                support = c.support
         return closure
 
 

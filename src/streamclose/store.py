@@ -9,9 +9,10 @@ closure's itemset, which would otherwise rebuild every itemset from the
 lists.  Keeping the tuple costs no copy (it is the one the addition that
 created the CI builds for its shift report), and emission then allocates no
 per-CI list, which on the benchmark's workloads more than pays for the
-stored tuples in peak memory.  Each inverted list is an insertion-ordered
-dict keyed by record, so adding, removing and testing one entry are O(1)
-while routing still iterates the list in a fixed order.
+stored tuples in peak memory.  Each inverted list is a plain list of
+records in filing order, one pointer per entry: routing only iterates it,
+filing appends to it, and a shift unfiles its obsolete CIs in one batch
+that rebuilds each list it touches once.
 
 The store files each live record under its itemset tuple.  It holds exactly
 the window's closed family, so a query equal to a key is closed and that
@@ -20,6 +21,7 @@ record is its closure: one dict probe, no list walked.
 
 from __future__ import annotations
 
+from itertools import filterfalse
 from operator import itemgetter
 
 from .trie import DETACHED
@@ -119,11 +121,13 @@ class CIRecord:
     closure's itemset one attribute read, instead of a rebuild from the
     lists.  ``size`` is its length.
 
-    Records key every inverted list, and CPython hashes them by address.
-    With four slots a record fills a 64-byte block, so every record's hash
-    would end in the same two bits and the list dicts would collide more on
-    each probe (landmark-query ran about 10 % fewer queries per second); the
-    fifth slot, ``itemset``, makes it an 80-byte block.
+    Records are hashed, by address, only in a shift's removal set and a
+    query's intersection set.  With four slots a record would fill a
+    64-byte block, so every record's hash would end in the same two bits
+    and those sets would collide more on each probe (when the inverted
+    lists were dicts keyed by record, landmark-query ran about 10 % fewer
+    queries per second); the fifth slot, ``itemset``, makes it an 80-byte
+    block.
     """
 
     __slots__ = ("id", "support", "size", "cursor", "itemset")
@@ -178,47 +182,58 @@ class InvertedIndex:
     """item id -> the CI records containing that item.
 
     A record is filed under, and unfiled from, exactly the items of its
-    ``itemset``.  Each list is a dict mapping record -> None, iterated in
-    insertion order; only the set of members carries meaning.  ``remove``
-    drops a list that empties, since a dict keeps its peak-size table after
-    deletes.
+    ``itemset``.  Each list is a plain list of records in filing order, one
+    pointer per entry; the order fixes routing order, and so trie node order
+    and record ids.  ``remove`` rebuilds each list it touches once, sized to
+    what it keeps, and drops a list that empties.
     """
 
     def __init__(self):
-        self.lists: dict[int, dict[CIRecord, None]] = {}
+        self.lists: dict[int, list[CIRecord]] = {}
         self.entry_count = 0
 
     def add(self, record: CIRecord) -> None:
-        """File ``record`` in the list of every item of its itemset."""
+        """File ``record`` at the end of the list of every item of its itemset."""
         lists = self.lists
         items = record.itemset
         for a in items:
             lst = lists.get(a)
             if lst is None:
-                lists[a] = {record: None}
+                lists[a] = [record]
             else:
-                lst[record] = None
+                lst.append(record)
         self.entry_count += len(items)
 
-    def remove(self, record: CIRecord) -> None:
-        """Unfile ``record`` from the list of every item of its itemset.
+    def remove(self, records) -> None:
+        """Unfile the distinct ``records`` from the lists of their itemsets' items.
 
-        A missing entry means the index and the store disagree, which is an
-        internal invariant violation, not a user error.
+        Each list that holds one of them is rebuilt once, keeping the order
+        of the others.  A list that does not lose one entry per record
+        naming its item, or an item with no list, means the index and the
+        store disagree, which is an internal invariant violation, not a
+        user error.
         """
         lists = self.lists
-        items = record.itemset
-        for a in items:
-            try:
-                lst = lists[a]
-                del lst[record]
-            except KeyError:
+        counts = {}
+        for rec in records:
+            for a in rec.itemset:
+                counts[a] = counts.get(a, 0) + 1
+        gone = set(records)
+        for a, n in counts.items():
+            lst = lists.get(a, ())
+            kept = list(filterfalse(gone.__contains__, lst))
+            lost = len(lst) - len(kept)
+            if lost != n:
+                missing = [r.id for r in records if a in r.itemset and r not in lst]
                 raise AssertionError(
-                    f"CI {record.id} missing from inverted list of item {a}"
-                ) from None
-            if not lst:
+                    f"CI {missing[0]} missing from inverted list of item {a}"
+                    if missing else
+                    f"inverted list of item {a} lost {lost} entries, expected {n}")
+            if kept:
+                lists[a] = kept
+            else:
                 del lists[a]
-        self.entry_count -= len(items)
+        self.entry_count -= sum(counts.values())
 
 
 def materialize_itemset(store: CIStore, record: CIRecord) -> tuple:

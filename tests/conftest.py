@@ -178,16 +178,18 @@ def scan_length(index: InvertedIndex, item) -> int:
 def check_store_invariants(store: CIStore, index: InvertedIndex) -> None:
     """Raise AssertionError when the store and the index disagree.
 
-    Checks that no inverted list is empty, that every live record is filed
-    under its own itemset, that the itemset is exactly the set of items
-    whose lists hold the record, that its size matches, and the global
-    entry count.
+    Checks that no inverted list is empty or files a record twice, that
+    every live record is filed under its own itemset, that the itemset is
+    exactly the set of items whose lists hold the record, that its size
+    matches, and the global entry count.
     """
     parts: dict[CIRecord, list[int]] = {}
     total = 0
     for a, lst in index.lists.items():
         if not lst:
             raise AssertionError(f"inverted list of item {a} is empty")
+        if len(set(lst)) != len(lst):
+            raise AssertionError(f"inverted list of item {a} files a CI twice")
         for rec in lst:
             parts.setdefault(rec, []).append(a)
             total += 1

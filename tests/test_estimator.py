@@ -359,7 +359,7 @@ def test_failed_shift_poisons_the_miner():
     # the full-itemset node with no CI ending on it, after the record
     # ending on a has already been demoted
     b = driver.dictionary.intern("b")
-    del eng.index.lists[b][next(iter(eng.index.lists[b]))]
+    del eng.index.lists[b][0]
     with pytest.raises(AssertionError):
         miner.update(["d"])
 

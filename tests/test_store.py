@@ -128,7 +128,7 @@ def test_materialize_refuses_a_removed_record_whose_itemset_is_live_again():
     store, index = CIStore(), InvertedIndex()
     old = store.new_ci(1, (0, 1))
     index.add(old)
-    index.remove(old)
+    index.remove([old])
     store.remove(old)
     with pytest.raises(KeyError):
         materialize_itemset(store, old)
@@ -155,16 +155,42 @@ def test_index_removal_leaves_other_records():
     index.add(b)
     index.add(c)
     assert index.entry_count == 6
-    index.remove(a)
-    assert set(index.lists[0]) == {b, c}
-    assert set(index.lists[1]) == {c}
-    assert set(index.lists[2]) == {b}
+    index.remove([a])
+    assert index.lists == {0: [b, c], 1: [c], 2: [b]}
     assert index.entry_count == 4
     with pytest.raises(AssertionError, match="CI 1 missing"):
-        index.remove(a)
+        index.remove([a])
     # a record naming an item that has no list
     with pytest.raises(AssertionError, match="of item 7"):
-        index.remove(CIRecord(4, 1, 1, (7,)))
+        index.remove([CIRecord(4, 1, 1, (7,))])
+
+
+def test_index_batch_removal_keeps_filing_order():
+    # one call unfiles several records that share items: the survivors keep
+    # the order they were filed in, which fixes routing order and so ids
+    index = InvertedIndex()
+    recs = [CIRecord(i, 1, len(items), items) for i, items in enumerate(
+        [(0, 1), (0,), (0, 2), (1, 2), (0, 1, 2), (2,), (0, 3)], start=1)]
+    for rec in recs:
+        index.add(rec)
+    assert index.entry_count == 13
+    r1, r2, r3, r4, r5, r6, r7 = recs
+    index.remove([r5, r1, r7])
+    assert index.lists == {0: [r2, r3], 1: [r4], 2: [r3, r4, r6]}  # item 3 dropped
+    assert index.entry_count == 13 - 7
+    index.remove([r4, r2])
+    assert index.lists == {0: [r3], 2: [r3, r6]}  # item 1 dropped
+    assert index.entry_count == 3
+    # a record missing from one of its lists, among records that are there
+    with pytest.raises(AssertionError, match="CI 4 missing from inverted list of item 2"):
+        index.remove([r6, r4])
+    # a record naming an item that has no list, after one that is filed
+    with pytest.raises(AssertionError, match="CI 8 missing from inverted list of item 3"):
+        index.remove([r6, CIRecord(8, 1, 1, (3,))])
+    # a record filed twice in one list
+    index.lists[0].append(r3)
+    with pytest.raises(AssertionError, match="item 0 lost 2 entries, expected 1"):
+        index.remove([r3])
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +276,7 @@ def test_materialize_returns_the_stored_tuple():
 def test_store_invariants_catch_a_missing_list_entry():
     store, index, _ = build_table2_state()
     rec = record_of(store, 16)
-    del index.lists[rec.itemset[-1]][rec]
+    index.lists[rec.itemset[-1]].remove(rec)
     index.entry_count -= 1
     rec.size -= 1  # keep every count consistent: only membership is wrong
     with pytest.raises(AssertionError, match="stored itemset"):
@@ -260,10 +286,21 @@ def test_store_invariants_catch_a_missing_list_entry():
 def test_store_invariants_catch_an_extra_list_entry():
     store, index, d = build_table2_state()
     rec = record_of(store, 16)  # bc
-    index.lists[d.intern("a")][rec] = None
+    index.lists[d.intern("a")].append(rec)
     index.entry_count += 1
     rec.size += 1
     with pytest.raises(AssertionError, match="stored itemset"):
+        check_store_invariants(store, index)
+
+
+def test_store_invariants_catch_a_duplicated_list_entry():
+    # a plain list can file a record twice, which a dict could not
+    store, index, d = build_table2_state()
+    rec = record_of(store, 16)  # bc
+    index.lists[d.intern("c")].append(rec)
+    index.entry_count += 1
+    rec.size += 1  # keep every count consistent: only the duplicate is wrong
+    with pytest.raises(AssertionError, match="files a CI twice"):
         check_store_invariants(store, index)
 
 

@@ -239,6 +239,27 @@ def test_an_emission_peaks_at_its_output():
     assert peak <= 1.1 * held, (peak, held)
 
 
+def test_sliding_lists_are_bounded_by_the_window():
+    # a drifting vocabulary churns the inverted lists: every item enters,
+    # fills its list and leaves. The lists' bytes must follow the window's
+    # entries, not the peak each list once reached, and a list must go
+    # with the last window transaction holding its item.
+    driver = StreamDriver(WindowConfig(capacity=40, mode="sliding"))
+    engine = driver.engine
+    index = engine.index
+    rng = random.Random(5)
+    for i in range(1, 3001):
+        first = i // 25
+        driver.push_ids(rng.sample(range(first, first + 14), rng.randint(3, 8)))
+        if i % 100 == 0:
+            held = sum(sys.getsizeof(lst) for lst in index.lists.values())
+            # a 56 B list header, 8 B per entry and CPython's over-allocation
+            # fit within 104 B per list plus 10 B per entry
+            assert held <= 104 * len(index.lists) + 10 * index.entry_count, (i, held)
+            in_window = {a for items in engine.window.values() for a in items}
+            assert len(index.lists) <= len(in_window), i
+
+
 @pytest.mark.parametrize("bad", [["x", 2.5], ["x", True], ["x", ""], ["x", None], "xa", b"xa"],
                          ids=["2.5", "True", "", "None", "str", "bytes"])
 def test_rejected_push_interns_no_token(bad):
