@@ -1,12 +1,13 @@
 """Command-line entry points.
 
-Exit codes: 0 ok, 1 usage, 2 parse/input error, 3 verification divergence,
+Exit codes: 0 ok, 1 usage, 2 parse/input/output error, 3 verification divergence,
 4 referee cap exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 from . import oracle
@@ -59,6 +60,17 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+class _OutputError(Exception):
+    """An output file of ``mine`` could not be opened, or a periodic snapshot written."""
+
+
+def _open_output(path):
+    try:
+        return open(path, "w", encoding="utf-8", newline="")
+    except OSError as e:
+        raise _OutputError(e) from None
+
+
 def _cmd_mine(args) -> int:
     if args.mode == SLIDING and args.window is None:
         sys.stderr.write("streamclose mine: error: sliding mode needs --window\n")
@@ -80,23 +92,23 @@ def _cmd_mine(args) -> int:
 
     source = StreamSource(args.input)
     driver = StreamDriver(config, dictionary=source.dictionary)
-    stats_file = open(args.stats, "w", encoding="utf-8", newline="") if args.stats else None
-    try:
-        writer = StatsWriter(stats_file) if stats_file else None
+    # Both output files are opened before the first transaction is read, so
+    # a path that cannot be written stops the run before the replay.
+    with contextlib.ExitStack() as outputs:
+        stats = outputs.enter_context(_open_output(args.stats)) if args.stats else None
+        out = (outputs.enter_context(_open_output(args.emit_snapshot))
+               if args.emit_snapshot else sys.stdout)
+        writer = StatsWriter(stats) if stats else None
         for rec in replay(source, driver):
             if writer:
                 writer.write(rec)
             if args.snapshot_every > 0 and rec.shift % args.snapshot_every == 0:
-                save_snapshot(f"{args.emit_snapshot}.{rec.shift:08d}",
-                              driver.snapshot(args.min_supp), args.format)
-        final = driver.snapshot(args.min_supp)
-        if args.emit_snapshot:
-            save_snapshot(args.emit_snapshot, final, args.format)
-        else:
-            sys.stdout.writelines(snapshot_lines(final, args.format))
-    finally:
-        if stats_file:
-            stats_file.close()
+                try:
+                    save_snapshot(f"{args.emit_snapshot}.{rec.shift:08d}",
+                                  driver.snapshot(args.min_supp), args.format)
+                except OSError as e:
+                    raise _OutputError(e) from None
+        out.writelines(snapshot_lines(driver.snapshot(args.min_supp), args.format))
     return EXIT_OK
 
 
@@ -181,6 +193,9 @@ def main(argv=None) -> int:
             return _cmd_oracle(args)
     except ParseError as e:
         sys.stderr.write(f"streamclose: parse error: {e}\n")
+        return EXIT_PARSE
+    except _OutputError as e:
+        sys.stderr.write(f"streamclose: output error: {e}\n")
         return EXIT_PARSE
     except OSError as e:
         sys.stderr.write(f"streamclose: input error: {e}\n")

@@ -119,7 +119,10 @@ class CIRecord:
     the index files the record in, and its key in ``CIStore.records``.
     Keeping it here makes emission one pass over the records and a
     closure's itemset one attribute read, instead of a rebuild from the
-    lists.  ``size`` is its length.
+    lists.  ``size`` is its length, read where the itemset itself is not
+    needed: categorization compares it with an end node's depth, and a
+    non-closed query's shortest-list scan skips a candidate no larger than
+    the query before it reads the candidate's tuple.
 
     Records are hashed, by address, only in a shift's removal set and a
     query's intersection set.  With four slots a record would fill a

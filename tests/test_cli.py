@@ -121,6 +121,29 @@ def test_mine_parse_error_is_exit_2(tmp_path):
     assert cli.main(["mine", "--input", str(p), "--window", "4"]) == 2
 
 
+@pytest.mark.parametrize("flag", ["--stats", "--emit-snapshot"])
+def test_mine_unwritable_output_is_an_output_error_before_the_replay(tmp_path, flag, capsys):
+    # the input's last line is malformed, so a replay run before the output
+    # is opened would end in a parse error instead
+    p = tmp_path / "bad.dat"
+    p.write_bytes(b"a b\nb c\n\x00\n")
+    target = tmp_path / "no-such-dir" / "out"
+    assert cli.main(["mine", "--input", str(p), "--window", "4", flag, str(target)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("streamclose: output error: ") and str(target) in err, err
+
+
+def test_mine_unwritable_periodic_snapshot_is_an_output_error(d10, tmp_path, capsys):
+    out = tmp_path / "out.tsv"
+    (tmp_path / "out.tsv.00000004").mkdir()
+    assert cli.main(["mine", "--input", str(d10), "--window", "10",
+                     "--emit-snapshot", str(out), "--snapshot-every", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("streamclose: output error: ") and "out.tsv.00000004" in err, err
+    assert (tmp_path / "out.tsv.00000002").read_text() != ""
+
+
 def test_usage_errors_are_exit_1(tmp_path, d10, capsys):
     assert cli.main(["mine"]) == 1                       # missing --input
     assert cli.main(["mine", "--input", str(d10)]) == 1  # sliding, no window

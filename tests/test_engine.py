@@ -697,3 +697,52 @@ def test_closure_of_a_live_ci_is_its_own_record():
     for itemset, rec in eng.store.records.items():
         assert eng.closure_record(itemset) is rec
         assert eng.closure_record(reversed(itemset)) is rec
+
+
+def skewed_stream(rng, n_items, length):
+    # item i is drawn with probability 0.03 to 0.70, rising with i, so a rare
+    # item's short list meets frequent items' long lists in one query
+    probs = [0.03 + 0.67 * i / (n_items - 1) for i in range(n_items)]
+    out = []
+    while len(out) < length:
+        t = tuple(i for i in range(n_items) if rng.random() < probs[i])
+        if t:
+            out.append(t)
+    return out
+
+
+@pytest.mark.parametrize("mode", ["sliding", "landmark"])
+def test_both_closure_lookups_agree_with_the_referee(mode):
+    # every non-closed query of 1-3 window items, on states whose list
+    # lengths within one query range from alike to far apart, so both the
+    # set intersection and the shortest-list scan answer some of them
+    if mode == "sliding":
+        driver = StreamDriver(WindowConfig(capacity=50, mode="sliding"))
+        stream, checkpoints = skewed_stream(random.Random(2024), 16, 200), {80, 120, 160, 200}
+    else:
+        driver = StreamDriver(WindowConfig(mode="landmark"))
+        stream, checkpoints = skewed_stream(random.Random(2025), 16, 80), {40, 80}
+    eng = driver.engine
+    ratios = []
+    for n, items in enumerate(stream, 1):
+        driver.push_ids(items)
+        if n not in checkpoints:
+            continue
+        db = window_db(eng.window.items())
+        alphabet = sorted(set().union(*db.values()))
+        for k in (1, 2, 3):
+            for q in itertools.combinations(alphabet, k):
+                if q in eng.store.records:
+                    continue
+                rec = eng.closure_record(q[::-1])
+                tids = oracle.support_tids(db, q)
+                if not tids:
+                    assert rec is None, q
+                    continue
+                assert frozenset(rec.itemset) == oracle.closure(db, q), q
+                assert rec.support == len(tids), q
+                lens = [len(eng.index.lists[a]) for a in q]
+                ratios.append((sum(lens) - min(lens)) / min(lens))
+    # other lists' entries over the shortest list's, per answered query
+    assert sum(r < 2 for r in ratios) >= 10, ratios
+    assert sum(r >= 20 for r in ratios) >= 10, ratios
