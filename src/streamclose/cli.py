@@ -60,15 +60,15 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-class _OutputError(Exception):
-    """An output file of ``mine`` could not be opened, or a periodic snapshot written."""
+class _InputError(Exception):
+    """The input file could not be read; any other OSError is an output error."""
 
 
-def _open_output(path):
+def _read(source):
     try:
-        return open(path, "w", encoding="utf-8", newline="")
+        yield from source
     except OSError as e:
-        raise _OutputError(e) from None
+        raise _InputError(e) from None
 
 
 def _cmd_mine(args) -> int:
@@ -95,19 +95,18 @@ def _cmd_mine(args) -> int:
     # Both output files are opened before the first transaction is read, so
     # a path that cannot be written stops the run before the replay.
     with contextlib.ExitStack() as outputs:
-        stats = outputs.enter_context(_open_output(args.stats)) if args.stats else None
-        out = (outputs.enter_context(_open_output(args.emit_snapshot))
+        stats = (outputs.enter_context(open(args.stats, "w", encoding="utf-8", newline=""))
+                 if args.stats else None)
+        out = (outputs.enter_context(open(args.emit_snapshot, "w", encoding="utf-8",
+                                          newline=""))
                if args.emit_snapshot else sys.stdout)
         writer = StatsWriter(stats) if stats else None
-        for rec in replay(source, driver):
+        for rec in replay(_read(source), driver):
             if writer:
                 writer.write(rec)
             if args.snapshot_every > 0 and rec.shift % args.snapshot_every == 0:
-                try:
-                    save_snapshot(f"{args.emit_snapshot}.{rec.shift:08d}",
-                                  driver.snapshot(args.min_supp), args.format)
-                except OSError as e:
-                    raise _OutputError(e) from None
+                save_snapshot(f"{args.emit_snapshot}.{rec.shift:08d}",
+                              driver.snapshot(args.min_supp), args.format)
         out.writelines(snapshot_lines(driver.snapshot(args.min_supp), args.format))
     return EXIT_OK
 
@@ -128,6 +127,9 @@ def _diff_families(got: dict, want: dict, dictionary) -> str:
 
 
 def _cmd_verify(args) -> int:
+    if args.max_cis < 1:
+        sys.stderr.write("streamclose verify: error: --max-cis must be at least 1\n")
+        return EXIT_USAGE
     try:
         config = WindowConfig(capacity=args.window, mode=SLIDING)
     except ValueError as e:
@@ -151,7 +153,7 @@ def _cmd_verify(args) -> int:
 
     # evict first, so both halves of a push get checked; push_ids then finds
     # room in the window and only adds
-    for items in source:
+    for items in _read(source):
         problem = None
         removed = driver.evict()
         if removed is not None:
@@ -169,7 +171,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_oracle(args) -> int:
     source = StreamSource(args.input)
-    db = {i: frozenset(items) for i, items in enumerate(source)}
+    db = {i: frozenset(items) for i, items in enumerate(_read(source))}
     fam = oracle.closed_itemsets(db)
     tokens_of = source.dictionary.tokens_of
     rows = sorted((tuple(sorted(items)), supp) for items, supp in fam.items())
@@ -184,26 +186,24 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
+    command = {"mine": _cmd_mine, "verify": _cmd_verify, "oracle": _cmd_oracle}
     try:
-        if args.command == "mine":
-            return _cmd_mine(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "oracle":
-            return _cmd_oracle(args)
+        code = command[args.command](args)
+        # a buffered stdout would otherwise meet a full disk only at exit
+        sys.stdout.flush()
+        return code
     except ParseError as e:
         sys.stderr.write(f"streamclose: parse error: {e}\n")
         return EXIT_PARSE
-    except _OutputError as e:
-        sys.stderr.write(f"streamclose: output error: {e}\n")
+    except _InputError as e:
+        sys.stderr.write(f"streamclose: input error: {e}\n")
         return EXIT_PARSE
     except OSError as e:
-        sys.stderr.write(f"streamclose: input error: {e}\n")
+        sys.stderr.write(f"streamclose: output error: {e}\n")
         return EXIT_PARSE
     except oracle.CapExceededError as e:
         sys.stderr.write(f"streamclose: {e}\n")
         return EXIT_CAP
-    return EXIT_USAGE
 
 
 if __name__ == "__main__":

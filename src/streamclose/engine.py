@@ -40,10 +40,6 @@ from dataclasses import dataclass, field
 from .store import CIRecord, CIStore, InvertedIndex, snapshot
 from .trie import DETACHED, Trie, TrieNode
 
-# closure_record scans only the shortest list once the query's other lists
-# hold at least this many times its entries; its docstring gives the measure.
-_SCAN_RATIO = 3
-
 
 @dataclass
 class ShiftReport:
@@ -285,39 +281,22 @@ class MinerEngine:
         The store holds exactly the closed family, so a query that is a live
         CI's itemset is closed and that record is its closure: one dict
         probe.  Otherwise the CIs containing ``items`` are the members
-        common to its items' inverted lists; the closure is the one among
-        them with the query's own support, which no other common member
-        reaches, so it is the unique maximum, and the order in which the
-        members are visited cannot change it (docs/algorithm.md, section 5).
+        common to its items' inverted lists, so the shortest of those lists
+        holds them all.  The closure is the one among them with the query's
+        own support, which no other reaches, so it is the unique maximum,
+        and the order of the scan cannot change it (docs/algorithm.md,
+        section 5).
 
-        Two exact lookups find it; the query's list lengths choose.  When
-        the other lists hold at least ``_SCAN_RATIO`` (3) times the
-        shortest list's entries, only the shortest list is scanned.  A
-        candidate must be larger than the query (a query that is not closed
-        has a strict superset for its closure) and must out-support the best
-        found so far; only then is its itemset tuple tested for the query's
-        other items.  Otherwise the set of the shortest list's records is
-        intersected with each other list, one C-level pass per list, and one
-        loop over what is left picks the maximum.  The scan reads every
-        record of the shortest list, where the intersection hashes list
-        pointers by address and reads only the records it keeps, so the
-        scan pays only when the other lists are long.  Timed on non-closed
-        queries right after a push, as the two lookups of a ``predict`` plus
-        ``transform`` pair (2-vCPU host, Python 3.11; the two paths
-        alternate query by query, two seeds of about 1,000 dense and 9,000
-        landmark queries), the paths cross near 1.5-2x on the
-        dense-sliding benchmark's state (4.9k CIs; the shortest list holds
-        about 265 records) and near 5x on the landmark-query state (30k
-        CIs; about 33).  Estimated from the mean pair time per ratio bin, a
-        3x cut-over gives 0.56-0.58 of the intersection's time alone on the
-        dense state and 0.96-0.97 on the landmark state, each within 4 % of
-        that state's best cut-over; 4x would cost the dense state 9-10 %,
-        and 2x the landmark state 6-7 %.
+        One scan of the shortest list therefore finds it.  A candidate that
+        does not out-support the best found so far cannot be that unique
+        maximum.  A candidate no larger than the query cannot be its
+        closure either: the query missed the probe, so it is not closed and
+        its closure is a strict superset.  Only a candidate passing both
+        prunes has its itemset tuple tested for the query's other items.
 
         Called right after a push, a lookup pays to bring its code and data
-        back into the processor's caches, so it uses only plain loops, the
-        ``in`` operator and the set operations a push's unfiling runs: no
-        sort, ``filter`` or key function.
+        back into the processor's caches, so it uses only plain loops and
+        the ``in`` operator: no set, sort, ``filter`` or key function.
         """
         self.check_usable()
         items = _normalize(items)
@@ -327,40 +306,26 @@ class MinerEngine:
         if rec is not None:
             return rec
         lists = self.index.lists
-        found = []
-        total = 0
         shortest = pivot = None
         for a in items:
             lst = lists.get(a)
             if not lst:
                 return None
-            found.append(lst)
-            total += len(lst)
             if shortest is None or len(lst) < len(shortest):
                 shortest = lst
                 pivot = a
         closure = None
         support = 0
-        if total - len(shortest) >= _SCAN_RATIO * len(shortest):
-            size = len(items)
-            for c in shortest:
-                if c.support > support and c.size > size:
-                    itemset = c.itemset
-                    for a in items:
-                        if a != pivot and a not in itemset:
-                            break
-                    else:
-                        closure = c
-                        support = c.support
-            return closure
-        common = set(shortest)
-        for lst in found:
-            if lst is not shortest:
-                common.intersection_update(lst)
-        for c in common:
-            if c.support > support:
-                closure = c
-                support = c.support
+        size = len(items)
+        for c in shortest:
+            if c.support > support and c.size > size:
+                itemset = c.itemset
+                for a in items:
+                    if a != pivot and a not in itemset:
+                        break
+                else:
+                    closure = c
+                    support = c.support
         return closure
 
 

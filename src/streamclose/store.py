@@ -124,13 +124,12 @@ class CIRecord:
     non-closed query's shortest-list scan skips a candidate no larger than
     the query before it reads the candidate's tuple.
 
-    Records are hashed, by address, only in a shift's removal set and a
-    query's intersection set.  With four slots a record would fill a
-    64-byte block, so every record's hash would end in the same two bits
-    and those sets would collide more on each probe (when the inverted
-    lists were dicts keyed by record, landmark-query ran about 10 % fewer
-    queries per second); the fifth slot, ``itemset``, makes it an 80-byte
-    block.
+    Records are hashed, by address, only in a shift's removal set.  With
+    four slots a record would fill a 64-byte block, so every record's hash
+    would end in the same two bits and that set would collide more on each
+    probe (when the inverted lists were dicts keyed by record, landmark-query
+    ran about 10 % fewer queries per second); the fifth slot, ``itemset``,
+    makes it an 80-byte block.
     """
 
     __slots__ = ("id", "support", "size", "cursor", "itemset")

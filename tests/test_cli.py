@@ -1,7 +1,10 @@
 """Command-line behavior and exit codes."""
 
 import contextlib
+import errno
 import io
+import os
+import sys
 import tempfile
 from pathlib import Path
 
@@ -109,10 +112,12 @@ def test_mine_jsonl_format(d10, tmp_path):
     assert lines[0] == '{"itemset": ["a", "b", "c"], "support": 3}'
 
 
-def test_mine_missing_input_is_exit_2(tmp_path):
+def test_mine_missing_input_is_exit_2(tmp_path, capsys):
     code = cli.main(["mine", "--input", str(tmp_path / "missing.dat"),
                      "--window", "10"])
     assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("streamclose: input error: ") and "missing.dat" in err, err
 
 
 def test_mine_parse_error_is_exit_2(tmp_path):
@@ -144,6 +149,43 @@ def test_mine_unwritable_periodic_snapshot_is_an_output_error(d10, tmp_path, cap
     assert (tmp_path / "out.tsv.00000002").read_text() != ""
 
 
+FULL_DISK = "streamclose: output error: [Errno 28] No space left on device\n"
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+@pytest.mark.parametrize("flag", ["--stats", "--emit-snapshot"])
+def test_mine_full_disk_is_an_output_error(d10, flag, capsys):
+    assert cli.main(["mine", "--input", str(d10), "--window", "10", flag, "/dev/full"]) == 2
+    assert capsys.readouterr().err == FULL_DISK
+
+
+class FullStdout(io.StringIO):
+    """A stdout on a full disk: its writes fail, or, buffered, only its flush."""
+
+    def __init__(self, fails):
+        super().__init__()
+        self.fails = fails
+
+    def write(self, s):
+        if self.fails == "write":
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return super().write(s)
+
+    def flush(self):
+        if self.fails == "flush":
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("fails", ["write", "flush"])
+@pytest.mark.parametrize("command", [["mine", "--window", "10"], ["oracle"],
+                                     ["verify", "--window", "9"]],
+                         ids=["mine", "oracle", "verify"])
+def test_a_full_stdout_is_an_output_error(d10, monkeypatch, capsys, command, fails):
+    monkeypatch.setattr(sys, "stdout", FullStdout(fails))
+    assert cli.main([command[0], "--input", str(d10), *command[1:]]) == 2
+    assert capsys.readouterr().err == FULL_DISK
+
+
 def test_usage_errors_are_exit_1(tmp_path, d10, capsys):
     assert cli.main(["mine"]) == 1                       # missing --input
     assert cli.main(["mine", "--input", str(d10)]) == 1  # sliding, no window
@@ -161,6 +203,10 @@ def test_usage_errors_are_exit_1(tmp_path, d10, capsys):
     assert capsys.readouterr() == (
         "", "streamclose mine: error: --snapshot-every must be at least 0\n")
     assert not list(tmp_path.glob("out.tsv*"))
+    assert cli.main(["verify", "--input", str(d10), "--window", "9",
+                     "--max-cis", "-5"]) == 1
+    assert capsys.readouterr() == (
+        "", "streamclose verify: error: --max-cis must be at least 1\n")
 
 
 def test_verify_clean_stream(d10, capsys):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from streamclose import oracle
+import categories
 from conftest import TABLE1, TABLE2, TABLE3
 
 D10 = {n + 1: frozenset(t) for n, t in enumerate(TABLE1)}
@@ -110,14 +111,14 @@ def test_closed_family_intersection_closed():
 # ---------------------------------------------------------------------------
 
 def test_classify_add_tenth_transaction():
-    got = oracle.classify_add(D19, "bcgh")
+    got = categories.classify_add(D19, "bcgh")
     assert got.new == {frozenset(x) for x in ("bcgh", "cgh", "gh", "h")}
     assert got.promoted == {frozenset(x) for x in ("bc", "c", "g")}
     assert got.closures[frozenset("gh")] == frozenset("fgh")
 
 
 def test_classify_add_disjoint_transaction():
-    got = oracle.classify_add(D19, "zz")  # token "z" unseen
+    got = categories.classify_add(D19, "zz")  # token "z" unseen
     assert got.promoted == set()
     assert got.new == {frozenset("z")}
     assert got.closures[frozenset("z")] is None
@@ -125,7 +126,7 @@ def test_classify_add_disjoint_transaction():
 
 def test_classify_add_third_transaction():
     d12 = {1: D10[1], 2: D10[2]}
-    got = oracle.classify_add(d12, "cdfgh")
+    got = categories.classify_add(d12, "cdfgh")
     assert got.new == {frozenset("cdfgh"), frozenset("cf")}
     assert got.closures[frozenset("cdfgh")] == frozenset("abcdefgh")
     assert got.closures[frozenset("cf")] == frozenset("abcef")
@@ -133,7 +134,7 @@ def test_classify_add_third_transaction():
 
 
 def test_classify_remove_first_transaction():
-    got = oracle.classify_remove(D10, 1)
+    got = categories.classify_remove(D10, 1)
     assert got.obsolete == {frozenset("abcdefgh")}
     assert len(got.demoted) == 21
     assert got.witnesses[frozenset("abcdefgh")] is None
@@ -141,7 +142,7 @@ def test_classify_remove_first_transaction():
 
 def test_classify_remove_second_transaction():
     d2_10 = {n: D10[n] for n in range(2, 11)}
-    got = oracle.classify_remove(d2_10, 2)
+    got = categories.classify_remove(d2_10, 2)
     assert got.obsolete == {frozenset(x) for x in ("abc", "cf", "ef", "abcef", "f")}
     assert got.demoted == {frozenset("bc"), frozenset("c")}
     assert got.witnesses[frozenset("abc")] == frozenset("abcd")
@@ -153,13 +154,13 @@ def test_classify_remove_second_transaction():
 
 def test_classify_remove_duplicate_transaction_only_demotes():
     db = {1: frozenset("ab"), 2: frozenset("ab"), 3: frozenset("abc")}
-    got = oracle.classify_remove(db, 1)
+    got = categories.classify_remove(db, 1)
     assert frozenset("ab") in got.demoted
     assert got.obsolete == set()
 
 
 def test_intersections_of_tenth():
-    got = oracle.intersections(D19, "bcgh")
+    got = categories.intersections(D19, "bcgh")
     want = {frozenset(x) for x in ("bcgh", "cgh", "bc", "gh", "c", "g", "h")}
     assert got == want
 
@@ -216,7 +217,7 @@ def test_family_members_are_closed(db):
 def test_classify_add_partitions_intersections(db, t):
     if not t or any(t == v for v in db.values()):
         return
-    got = oracle.classify_add(db, t)
+    got = categories.classify_add(db, t)
     fam_ = oracle.closed_itemsets(db)
     delta = {c & t for c in fam_ if c & t} | {t}
     assert got.new | got.promoted == delta
@@ -232,7 +233,7 @@ def test_classify_remove_witness_rule(db):
     if not db:
         return
     tid = sorted(db)[0]
-    got = oracle.classify_remove(db, tid)
+    got = categories.classify_remove(db, tid)
     fam_ = oracle.closed_itemsets(db)
     t = db[tid]
     # obsolete iff a witness exists with support exactly one less

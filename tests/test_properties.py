@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from streamclose import MinerEngine, StreamDriver, WindowConfig, oracle
 from streamclose.store import materialize_itemset
 from streamclose.trie import SUPPORT_FLOOR
+import categories
 from conftest import (
     all_detached,
     check_store_invariants,
@@ -100,12 +101,12 @@ def test_report_sizes_partition_the_work_set(stream, t_new):
     for tid, t in enumerate(stream):
         eng.shift_add(tid, tuple(sorted(t)))
     db = {tid: t for tid, t in enumerate(stream)}
-    delta = oracle.intersections(db, t_new)
+    delta = categories.intersections(db, t_new)
     report = eng.shift_add(10_000, tuple(sorted(t_new)))
     assert len(report.new_cis) + len(report.promoted) == len(delta)
     # and dually for the removal
     db[10_000] = t_new
-    delta_rm = oracle.intersections({k: v for k, v in db.items()}, t_new)
+    delta_rm = categories.intersections({k: v for k, v in db.items()}, t_new)
     report_rm = eng.shift_remove(10_000)
     assert len(report_rm.obsolete) + len(report_rm.demoted) == len(delta_rm)
 
@@ -120,7 +121,7 @@ def test_end_nodes_spell_the_work_set(stream, t_new):
     before = list(eng.store.records.values())
     eng.shift_add(10_000, tuple(sorted(t_new)))
     got = {frozenset(n.itemset()) for n in end_nodes(eng.trie)}
-    assert got == oracle.intersections(db, t_new)
+    assert got == categories.intersections(db, t_new)
     # every path stays inside the shifted transaction
     non_root = [n for n in eng.trie.nodes if n.parent is not None]
     assert all(frozenset(n.itemset()) <= t_new for n in non_root)

@@ -5,8 +5,9 @@ import random
 
 import pytest
 
-from streamclose import StreamDriver, WindowConfig, oracle
+from streamclose import StreamDriver, WindowConfig
 from streamclose.trie import SUPPORT_FLOOR, Trie
+import categories
 from conftest import TABLE1, add_child, child, dump, end_nodes, landmark_driver, random_stream
 
 D19 = {n + 1: frozenset(t) for n, t in enumerate(TABLE1[:9])}
@@ -106,7 +107,7 @@ def test_golden_trie_after_tenth_transaction():
     driver = landmark_driver(TABLE1)
     trie = driver.engine.trie
     d = driver.dictionary
-    delta = oracle.intersections(D19, frozenset("bcgh"))
+    delta = categories.intersections(D19, frozenset("bcgh"))
     prefixes = set()
     for x in delta:
         seq = sorted(x)

@@ -7,6 +7,7 @@ import tracemalloc
 import pytest
 
 from streamclose import StreamDriver, WindowConfig, oracle, replay
+import categories
 from conftest import TABLE1, TABLE2, ids_family, random_stream, window_db
 
 
@@ -298,12 +299,12 @@ def test_replay_rows_match_the_referee_classes():
         assert row.op == ("shift" if evicts else "add")
         if evicts:
             old_tid = min(db)
-            gone = oracle.classify_remove(db, old_tid)
+            gone = categories.classify_remove(db, old_tid)
             assert (row.obsolete, row.demoted) == (len(gone.obsolete), len(gone.demoted))
             del db[old_tid]
         else:
             assert row.obsolete == row.demoted == 0
-        came = oracle.classify_add(db, items)
+        came = categories.classify_add(db, items)
         assert (row.new, row.promoted) == (len(came.new), len(came.promoted))
         db[row.tid] = frozenset(items)
         assert db == window_db(driver.engine.window.items())
