@@ -8,6 +8,9 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
+import os
+import stat
 import sys
 
 from . import oracle
@@ -89,9 +92,18 @@ def _cmd_mine(args) -> int:
     if args.min_supp < 1:
         sys.stderr.write("streamclose mine: error: min_supp must be at least 1\n")
         return EXIT_USAGE
+    # An output opened over the input would truncate it before the replay
+    # reads it, and of two outputs on one file only the last written stays.
+    paths = [(flag, path) for flag, path in (("--input", args.input), ("--stats", args.stats),
+                                             ("--emit-snapshot", args.emit_snapshot)) if path]
+    for (flag_a, a), (flag_b, b) in itertools.combinations(paths, 2):
+        if _same_file(a, b):
+            sys.stderr.write(f"streamclose mine: error: {flag_a} and {flag_b} "
+                             "name the same file\n")
+            return EXIT_USAGE
 
-    source = StreamSource(args.input)
-    driver = StreamDriver(config, dictionary=source.dictionary)
+    driver = StreamDriver(config)
+    source = StreamSource(args.input, driver.dictionary)
     # Both output files are opened before the first transaction is read, so
     # a path that cannot be written stops the run before the replay.
     with contextlib.ExitStack() as outputs:
@@ -109,6 +121,20 @@ def _cmd_mine(args) -> int:
                               driver.snapshot(args.min_supp), args.format)
         out.writelines(snapshot_lines(driver.snapshot(args.min_supp), args.format))
     return EXIT_OK
+
+
+def _same_file(a, b) -> bool:
+    """Whether paths ``a`` and ``b`` name one regular file, through links too.
+
+    A path that does not exist yet clashes only with one that resolves to
+    the same name.  A device such as ``/dev/null`` never clashes: writing it
+    truncates nothing.
+    """
+    try:
+        sa, sb = os.stat(a), os.stat(b)
+    except OSError:
+        return os.path.realpath(a) == os.path.realpath(b)
+    return stat.S_ISREG(sa.st_mode) and os.path.samestat(sa, sb)
 
 
 def _diff_families(got: dict, want: dict, dictionary) -> str:
@@ -135,8 +161,8 @@ def _cmd_verify(args) -> int:
     except ValueError as e:
         sys.stderr.write(f"streamclose verify: error: {e}\n")
         return EXIT_USAGE
-    source = StreamSource(args.input)
-    driver = StreamDriver(config, dictionary=source.dictionary)
+    driver = StreamDriver(config)
+    source = StreamSource(args.input, driver.dictionary)
     engine = driver.engine
     shift_no = 0
 

@@ -9,9 +9,8 @@ phases:
      cursor one trie node, tracing the CI's growing intersection with t.
      One loop serves both shift kinds and only moves cursors; one settle
      loop over the routed CIs then gives the node each one ends on its top
-     CI, the top's support and the next-best support there, and puts the
-     CI's cursor back on ``DETACHED``, where every cursor rests between
-     shifts.
+     CI, the top's support and the next-best support there, and sets the
+     CI's cursor back to None, where every cursor rests between shifts.
   2. Categorization.  Nodes with a support are exactly the complete
      intersections, and a node's top is its class closure, the strict
      unique maximum among the CIs ending there (t's node has none when no
@@ -37,8 +36,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .store import CIRecord, CIStore, InvertedIndex, snapshot
-from .trie import DETACHED, Trie, TrieNode
+from .store import CIRecord, CIStore, InvertedIndex, normalize, snapshot
+from .trie import Trie, TrieNode
 
 
 @dataclass
@@ -59,10 +58,6 @@ class ShiftReport:
     demoted: list[int] = field(default_factory=list)
     nodes_created: int = 0
     entries_scanned: int = 0
-
-
-def _normalize(items) -> tuple:
-    return tuple(sorted(set(items)))
 
 
 class MinerEngine:
@@ -109,7 +104,7 @@ class MinerEngine:
         self.check_usable()
         if tid in self.window:
             raise ValueError(f"tid {tid} is already in the window")
-        items = _normalize(items)
+        items = normalize(items)
         order = items if item_order is None else _check_order(item_order, items)
         try:
             report = (self.update_cis_inc(tid, self._route(order)) if items
@@ -146,11 +141,11 @@ class MinerEngine:
 
         Returns the number of (item, CI) entries scanned plus one step per
         item along t's own path.  The per-entry loop only advances cursors:
-        a cursor on ``DETACHED`` starts at the root, and since items are
-        routed in one order, a node's child slot holds its child on the
-        current item exactly when that child exists.  ``top``, ``top_supp``
-        and ``next_supp`` are filled afterwards from the node each routed
-        CI ends on, and that cursor goes back on ``DETACHED``.
+        a cursor at None starts at the root, and since items are routed in
+        one order, a node's child slot holds its child on the current item
+        exactly when that child exists.  ``top``, ``top_supp`` and
+        ``next_supp`` are filled afterwards from the node each routed CI
+        ends on, and that cursor goes back to None.
         """
         trie = self.trie
         trie.reset()
@@ -176,7 +171,7 @@ class MinerEngine:
             entries += len(lst)
             for c in lst:
                 prev = c.cursor
-                if prev is DETACHED:
+                if prev is None:
                     routed_append(c)
                     prev = root
                 if prev.child_item != a:
@@ -188,7 +183,7 @@ class MinerEngine:
         # next-best support are all the categorization needs.
         for c in routed:
             n = c.cursor
-            c.cursor = DETACHED
+            c.cursor = None
             s = c.support
             if s > n.top_supp:
                 n.next_supp = n.top_supp
@@ -299,7 +294,7 @@ class MinerEngine:
         the ``in`` operator: no set, sort, ``filter`` or key function.
         """
         self.check_usable()
-        items = _normalize(items)
+        items = normalize(items)
         if not items:
             return None
         rec = self.store.records.get(items)

@@ -13,7 +13,7 @@ import json
 import re
 from typing import Iterable, Iterator
 
-from .store import ItemDictionary
+from .store import ItemDictionary, normalize
 from .window import StatsRecord
 
 _CONTROL = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\x7f]")
@@ -54,7 +54,7 @@ class StreamSource:
                 line = line.rstrip("\r\n")
                 if _CONTROL.search(line):
                     raise ParseError(line_no, "control character in item token")
-                yield tuple(sorted(set(map(intern, line.split()))))
+                yield normalize(map(intern, line.split()))
 
 
 def snapshot_lines(snapshot: Iterable[tuple[tuple, int]], fmt: str = "tsv") -> Iterator[str]:

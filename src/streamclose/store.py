@@ -24,7 +24,10 @@ from __future__ import annotations
 from itertools import filterfalse
 from operator import itemgetter
 
-from .trie import DETACHED
+
+def normalize(items) -> tuple:
+    """The one normal form of an itemset: its distinct items, ascending."""
+    return tuple(sorted(set(items)))
 
 
 def check_itemset(x, position=None) -> tuple:
@@ -111,18 +114,18 @@ class CIRecord:
     """Bookkeeping for one closed itemset.
 
     ``cursor`` points at the trie node ending this CI's current intersection
-    prefix while a shift routes it, and at ``trie.DETACHED`` otherwise: a
-    new record starts there and routing puts each cursor back, so no
-    cursor keeps a finished trie alive.
+    prefix while a shift routes it, and is None otherwise: a new record
+    starts at None and routing puts each cursor back, so no cursor keeps a
+    finished trie alive.
 
     ``itemset`` is the CI's ascending item-id tuple: the items whose lists
     the index files the record in, and its key in ``CIStore.records``.
     Keeping it here makes emission one pass over the records and a
     closure's itemset one attribute read, instead of a rebuild from the
-    lists.  ``size`` is its length, read where the itemset itself is not
-    needed: categorization compares it with an end node's depth, and a
-    non-closed query's shortest-list scan skips a candidate no larger than
-    the query before it reads the candidate's tuple.
+    lists.  ``size`` is its length, derived here from ``itemset`` and read
+    where the itemset itself is not needed: categorization compares it with
+    an end node's depth, and a non-closed query's shortest-list scan skips a
+    candidate no larger than the query before it reads the candidate's tuple.
 
     Records are hashed, by address, only in a shift's removal set.  With
     four slots a record would fill a 64-byte block, so every record's hash
@@ -134,11 +137,11 @@ class CIRecord:
 
     __slots__ = ("id", "support", "size", "cursor", "itemset")
 
-    def __init__(self, ci_id: int, support: int, size: int, itemset: tuple):
+    def __init__(self, ci_id: int, support: int, itemset: tuple):
         self.id = ci_id
         self.support = support
-        self.size = size
-        self.cursor = DETACHED
+        self.size = len(itemset)
+        self.cursor = None
         self.itemset = itemset
 
     def __repr__(self):
@@ -163,7 +166,7 @@ class CIStore:
 
         An itemset that is already live is an internal invariant violation.
         """
-        rec = CIRecord(self.next_id, support, len(itemset), itemset)
+        rec = CIRecord(self.next_id, support, itemset)
         if self.records.setdefault(itemset, rec) is not rec:
             raise AssertionError(f"itemset {itemset} is already a live CI")
         self.next_id += 1
@@ -173,11 +176,6 @@ class CIStore:
         if self.records.get(record.itemset) is not record:
             raise KeyError(record.id)
         del self.records[record.itemset]
-
-    @property
-    def live_count(self) -> int:
-        """Number of live CIs."""
-        return len(self.records)
 
 
 class InvertedIndex:

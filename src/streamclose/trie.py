@@ -31,9 +31,9 @@ doubles as the deterministic traversal order: nodes appear in creation order
 with the root at position 0.
 
 A node and its parent's child slot point at each other.  ``reset`` cuts
-every old node's child link, and routing puts every cursor back on
-``DETACHED``, so a finished trie is freed by reference counting alone and
-never reaches the cyclic garbage collector.
+every old node's child link, and routing sets every cursor back to None, so
+a finished trie is freed by reference counting alone and never reaches the
+cyclic garbage collector.
 """
 
 from __future__ import annotations
@@ -80,9 +80,6 @@ class TrieNode:
         return (f"TrieNode({tag}, depth={self.depth}, top_supp={self.top_supp}, "
                 f"next_supp={self.next_supp})")
 
-
-# Where every CI's cursor rests between shifts; never part of a trie.
-DETACHED = TrieNode(None, None)
 
 
 class Trie:

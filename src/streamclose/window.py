@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .engine import MinerEngine, ShiftReport
-from .store import ItemDictionary, check_int, check_itemset
+from .store import ItemDictionary, check_int, check_itemset, normalize
 
 SLIDING = "sliding"
 LANDMARK = "landmark"
@@ -70,9 +70,9 @@ class StatsRecord:
 class StreamDriver:
     """Feeds transactions through the engine under a window policy."""
 
-    def __init__(self, config: WindowConfig, dictionary: ItemDictionary | None = None):
+    def __init__(self, config: WindowConfig):
         self.config = config
-        self.dictionary = dictionary if dictionary is not None else ItemDictionary()
+        self.dictionary = ItemDictionary()
         self.engine = MinerEngine()
         self.next_tid = 0
 
@@ -117,7 +117,7 @@ class StreamDriver:
         nothing.
         """
         self.engine.check_usable()
-        items = tuple(sorted(set(items)))
+        items = normalize(items)
         tid = self.next_tid
         if tid in self.engine.window:
             raise ValueError(f"tid {tid} is already in the window")
@@ -142,16 +142,16 @@ class StreamDriver:
 
     @property
     def live_cis(self) -> int:
-        return self.engine.store.live_count
+        return len(self.engine.store.records)
 
 
 def replay(source: Iterable[Iterable[int]], driver: StreamDriver) -> Iterator[StatsRecord]:
     """Push each itemset of ``source`` through ``driver``, one record per push.
 
-    ``source`` must yield itemsets of item ids (see formats.StreamSource);
-    give the driver the source's dictionary to keep tokens consistent.  Each
-    record is yielded before the next push, so the caller can read the
-    driver's state, a snapshot say, as it stands after that push.
+    ``source`` must yield itemsets of item ids; read a file with
+    ``formats.StreamSource(path, driver.dictionary)`` to keep tokens
+    consistent.  Each record is yielded before the next push, so the caller
+    can read the driver's state, a snapshot say, as it stands after that push.
     """
     shift_no = 0
     for items in source:

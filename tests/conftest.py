@@ -15,8 +15,8 @@ from collections import defaultdict
 import pytest
 
 from streamclose import MinerEngine, ShiftReport, StreamDriver, WindowConfig
-from streamclose.store import CIRecord, CIStore, InvertedIndex
-from streamclose.trie import DETACHED, SUPPORT_FLOOR, Trie, TrieNode
+from streamclose.store import CIRecord, CIStore, InvertedIndex, normalize
+from streamclose.trie import SUPPORT_FLOOR, Trie, TrieNode
 
 # Ten-transaction worked example; tid n is TABLE1[n - 1].
 TABLE1 = [
@@ -148,7 +148,7 @@ def enders(trie: Trie, records, t) -> dict:
     A record routed by a shift of ``t`` ends on the node spelling its
     itemset's intersection with ``t``; records disjoint from ``t`` are not
     routed and are left out.  Found from each node's root path, since every
-    cursor is back on ``DETACHED`` once the shift is over.  A missing node
+    cursor is back at None once the shift is over.  A missing node
     raises KeyError.
     """
     t = frozenset(t)
@@ -166,8 +166,8 @@ def enders(trie: Trie, records, t) -> dict:
 
 
 def all_detached(records) -> bool:
-    """Whether every record's cursor rests on ``DETACHED``, as between shifts."""
-    return all(rec.cursor is DETACHED for rec in records)
+    """Whether every record's cursor is None, as it rests between shifts."""
+    return all(rec.cursor is None for rec in records)
 
 
 def scan_length(index: InvertedIndex, item) -> int:
@@ -247,12 +247,12 @@ def expand_path(eng: MinerEngine, table, c, a, kind: str) -> None:
     bookkeeping in ``table``, a ``defaultdict(PassThrough)`` keyed by node:
     ``refs`` counts cursors currently resting on a node, and every node on
     the path updates its top/runners.  Children are looked up in the
-    table, not in the engine's child slot; a cursor on ``DETACHED`` starts
-    at the root.
+    table, not in the engine's child slot; a cursor at None starts at the
+    root.
     """
     trie = eng.trie
     prev = c.cursor
-    if prev is DETACHED:
+    if prev is None:
         prev = trie.root
     kids = table[prev].children
     n = kids.get(a)
@@ -305,7 +305,10 @@ def bootstrap_record() -> CIRecord:
     shifted transaction t.  The engine has no such record; it starts t's
     own node at support 0 instead, and ``settle_from_table`` translates.
     """
-    return CIRecord(0, 0, math.inf, None)
+    ci0 = CIRecord(0, 0, ())
+    ci0.size = math.inf
+    ci0.itemset = None
+    return ci0
 
 
 def settle_from_table(table, ci0: CIRecord) -> None:
@@ -336,7 +339,7 @@ def step_shift(eng: MinerEngine, kind: str, tid, items=None, table=None) -> Shif
     ``eng.window``, as ``shift_remove`` does, and ``items`` stays None.
 
     Routes the bootstrap record and every (item, CI) entry through
-    expand_path, puts every routed cursor back on ``DETACHED`` as the
+    expand_path, sets every routed cursor back to None as the
     engine's settle loop does, then categorizes with the engine's own
     update_cis_inc/update_cis_dec; pins the engine's routing and settle
     loops to the paper's per-entry semantics.  Pass a
@@ -346,7 +349,7 @@ def step_shift(eng: MinerEngine, kind: str, tid, items=None, table=None) -> Shif
     if kind == "add":
         if tid in eng.window:
             raise ValueError(f"tid {tid} is already in the window")
-        items = eng.window[tid] = tuple(sorted(set(items)))
+        items = eng.window[tid] = normalize(items)
     else:
         if tid not in eng.window:
             raise ValueError(f"tid {tid} is not in the window")
@@ -368,7 +371,7 @@ def step_shift(eng: MinerEngine, kind: str, tid, items=None, table=None) -> Shif
             entries += 1
     settle_from_table(table, ci0)
     for rec in routed:
-        rec.cursor = DETACHED
+        rec.cursor = None
     if kind == "add":
         return eng.update_cis_inc(tid, entries)
     return eng.update_cis_dec(tid, entries)

@@ -185,7 +185,7 @@ def audit_shift(eng, kind, t_items, db_before, db_after, fam_before,
         ends[frozenset(n.itemset())] = n
     if set(ends) != delta:
         tally.property_violations.append(f"{where}: end nodes != work set")
-    # every cursor is back on DETACHED; the CIs routed this shift, grouped
+    # every cursor is back at None; the CIs routed this shift, grouped
     # by the node spelling c & t, the node each one ends on
     if not all_detached(recs_before):
         tally.property_violations.append(f"{where}: a cursor outlives its shift")
@@ -282,7 +282,7 @@ def fuzz() -> FuzzTally:
                 otid, oitems = window.pop(0)
                 db_before = {j: frozenset(x) for j, x in window}
                 db_before[otid] = frozenset(oitems)
-                l_m = eng.store.live_count
+                l_m = len(eng.store.records)
                 pre = len(oitems) + sum(scan_length(eng.index, a) for a in oitems)
                 recs = list(eng.store.records.values())
                 rep = eng.shift_remove(otid)
@@ -292,7 +292,7 @@ def fuzz() -> FuzzTally:
                     eng, "remove", oitems, db_before, db_after, fam, by_id, recs,
                     rep, k_m, l_m, pre, tally, f"s{s}/t{tid}/rm")
             db_before = {j: frozenset(x) for j, x in window}
-            l_m = eng.store.live_count
+            l_m = len(eng.store.records)
             pre = len(items) + sum(scan_length(eng.index, a) for a in items)
             recs = list(eng.store.records.values())
             rep = eng.shift_add(tid, items)

@@ -90,9 +90,8 @@ def test_mine_periodic_snapshots_match_the_driver(tmp_path):
     assert cli.main(["mine", "--input", str(data), "--window", "12",
                      "--min-supp", "3", "--emit-snapshot", str(out),
                      "--snapshot-every", "7"]) == 0
-    source = StreamSource(str(data))
-    driver = StreamDriver(WindowConfig(capacity=12, mode="sliding"),
-                          dictionary=source.dictionary)
+    driver = StreamDriver(WindowConfig(capacity=12, mode="sliding"))
+    source = StreamSource(str(data), driver.dictionary)
     for k, items in enumerate(source, start=1):
         driver.push_ids(items)
         periodic = tmp_path / f"snap.tsv.{k:08d}"
@@ -203,10 +202,52 @@ def test_usage_errors_are_exit_1(tmp_path, d10, capsys):
     assert capsys.readouterr() == (
         "", "streamclose mine: error: --snapshot-every must be at least 0\n")
     assert not list(tmp_path.glob("out.tsv*"))
+    assert cli.main(["mine", "--input", str(d10), "--window", "10",
+                     "--snapshot-every", "2"]) == 1
+    assert capsys.readouterr() == (
+        "", "streamclose mine: error: --snapshot-every needs --emit-snapshot\n")
     assert cli.main(["verify", "--input", str(d10), "--window", "9",
                      "--max-cis", "-5"]) == 1
     assert capsys.readouterr() == (
         "", "streamclose verify: error: --max-cis must be at least 1\n")
+    assert cli.main(["verify", "--input", str(d10), "--window", "0"]) == 1
+    assert capsys.readouterr() == (
+        "", "streamclose verify: error: sliding mode needs a capacity of at least 1\n")
+
+
+@pytest.mark.parametrize("case", ["same-path", "symlink", "hard-link", "stats-is-snapshot"])
+def test_mine_outputs_must_not_name_the_input_or_each_other(d10, tmp_path, capsys, case):
+    # each is refused before any file is opened: the input keeps its bytes
+    # and no output is written
+    data = d10.read_bytes()
+    if case == "same-path":
+        argv, flags = ["--emit-snapshot", str(d10)], "--input and --emit-snapshot"
+    elif case == "symlink":
+        link = tmp_path / "link.dat"
+        link.symlink_to(d10)
+        argv, flags = ["--input", str(link), "--stats", str(d10)], "--input and --stats"
+    elif case == "hard-link":
+        link = tmp_path / "link.tsv"
+        os.link(d10, link)
+        argv, flags = ["--emit-snapshot", str(link)], "--input and --emit-snapshot"
+    else:
+        out = tmp_path / "out"
+        argv, flags = ["--stats", str(out), "--emit-snapshot", str(out)], \
+            "--stats and --emit-snapshot"
+    before = sorted(tmp_path.iterdir())
+    assert cli.main(["mine", "--input", str(d10), "--window", "2", *argv]) == 1
+    assert capsys.readouterr() == (
+        "", f"streamclose mine: error: {flags} name the same file\n")
+    assert d10.read_bytes() == data
+    assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.skipif(not Path("/dev/null").exists(), reason="needs /dev/null")
+def test_mine_may_send_both_outputs_to_a_device(d10, capsys):
+    # writing a device truncates nothing, so sharing one is no clash
+    assert cli.main(["mine", "--input", str(d10), "--window", "10",
+                     "--stats", "/dev/null", "--emit-snapshot", "/dev/null"]) == 0
+    assert capsys.readouterr() == ("", "")
 
 
 def test_verify_clean_stream(d10, capsys):
@@ -227,6 +268,22 @@ def test_verify_divergence_is_exit_3(d10, monkeypatch, capsys):
     code = cli.main(["verify", "--input", str(d10), "--window", "9"])
     assert code == 3
     assert "divergence at shift 1" in capsys.readouterr().err
+
+
+def test_verify_names_missing_and_extra_itemsets(d10, monkeypatch, capsys):
+    real = oracle.closed_itemsets
+
+    def swapped(db, max_cis=oracle.DEFAULT_CI_CAP):
+        # the referee drops abcdefgh, the first transaction, and gains {a}
+        fam = {c: s for c, s in real(db, max_cis).items() if len(c) < 8}
+        fam[frozenset({0})] = 1
+        return fam
+
+    monkeypatch.setattr(cli.oracle, "closed_itemsets", swapped)
+    assert cli.main(["verify", "--input", str(d10), "--window", "9"]) == 3
+    assert capsys.readouterr() == ("", "divergence at shift 1 (add tid 0):\n"
+                                       "  missing: a (support 1)\n"
+                                       "  extra:   a b c d e f g h (support 1)\n")
 
 
 def test_verify_checks_the_eviction_half(d10, monkeypatch, capsys):

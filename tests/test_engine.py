@@ -8,7 +8,7 @@ import pytest
 
 from streamclose import MinerEngine, StreamDriver, WindowConfig, oracle
 from streamclose.store import CIRecord, materialize_itemset
-from streamclose.trie import DETACHED, SUPPORT_FLOOR
+from streamclose.trie import SUPPORT_FLOOR
 from conftest import (
     TABLE1,
     TABLE2,
@@ -251,7 +251,7 @@ def test_remove_last_transaction_empties_family():
     eng.shift_add(1, (3, 4))
     eng.shift_remove(1)
     assert eng.snapshot(1) == []
-    assert eng.store.live_count == 0
+    assert len(eng.store.records) == 0
     check_store_invariants(eng.store, eng.index)
 
 
@@ -287,7 +287,7 @@ def test_stale_runner_entry_does_not_certify(table2_driver):
             report = eng.shift_remove(1)
         else:
             report = shift(eng, "remove", 1, table=table)
-        assert all_detached(eng.store.records.values()) and abcef_rec.cursor is DETACHED
+        assert all_detached(eng.store.records.values()) and abcef_rec.cursor is None
         node_abc = abc_node(driver)
         above_end = []                      # abcef ends deeper, below abc
         (n,) = enders(eng.trie, [abcef_rec], items)
@@ -365,8 +365,12 @@ def test_expand_path_walks_bc(table3_driver):
     assert table[node_b].refs < refs_after_b  # departures decremented the counter
 
 
-def in_current_trie(eng, node) -> bool:
-    return any(n is node for n in eng.trie.nodes)
+def grows_from_its_root(trie) -> bool:
+    """Whether the root is the first node and every other node's parent is a node."""
+    nodes = trie.nodes
+    members = set(nodes)
+    return (nodes[0] is trie.root and trie.root.parent is None
+            and all(n.parent in members for n in nodes[1:]))
 
 
 def test_every_cursor_rests_on_detached_between_shifts(table3_driver):
@@ -385,7 +389,7 @@ def test_every_cursor_rests_on_detached_between_shifts(table3_driver):
     assert sum(map(len, routed.values())) > 1
     assert d_rec not in [r for group in routed.values() for r in group]
     assert all_detached(eng.store.records.values()) and all_detached(before)
-    assert not in_current_trie(eng, DETACHED)
+    assert grows_from_its_root(eng.trie)  # no node grew from a resting cursor
     assert all(n.child is None for n in old_nodes)  # child links cut by the reset
     # a removal puts its cursors back too
     eng.shift_remove(0)
@@ -428,19 +432,22 @@ def test_new_record_cursor_is_detached():
     ci_id, itemset, _ = report.new_cis[0]
     rec = eng.store.records[itemset]
     assert rec.id == ci_id
-    assert rec.cursor is DETACHED and DETACHED.child is None
-    assert not in_current_trie(eng, rec.cursor)
+    assert rec.cursor is None
+    # the next shift routes it from the root and sets it back to None
+    eng.shift_add(2, (0, 1, 2))
+    assert rec.cursor is None and rec.support == 2
+    assert grows_from_its_root(eng.trie)
 
 
 def test_update_gen_inc_cases():
     n = PassThrough()
-    c1 = CIRecord(1, 3, 2, (0, 1))
+    c1 = CIRecord(1, 3, (0, 1))
     update_gen_inc(c1, n)
     assert n.top == [c1] and n.top_supp == 3
-    c2 = CIRecord(2, 5, 2, (0, 2))
+    c2 = CIRecord(2, 5, (0, 2))
     update_gen_inc(c2, n)
     assert n.top == [c2] and n.top_supp == 5
-    c3 = CIRecord(3, 5, 1, (0,))
+    c3 = CIRecord(3, 5, (0,))
     update_gen_inc(c3, n)  # ties do not displace
     assert n.top == [c2]
 
@@ -461,22 +468,22 @@ def test_update_gen_inc_tracks_class_closure(table3_driver):
 
 def test_update_gen_dec_four_cases():
     n = PassThrough()
-    c_first = CIRecord(1, 2, 2, (0, 1))
+    c_first = CIRecord(1, 2, (0, 1))
     update_gen_dec(c_first, n)  # sentinel forces the flush branch
     assert n.top == [c_first] and n.runners == [] and n.top_supp == 2
-    c_low = CIRecord(2, 1, 3, (0, 1, 2))
+    c_low = CIRecord(2, 1, (0, 1, 2))
     update_gen_dec(c_low, n)    # one below: joins runners
     assert n.runners == [c_low]
-    c_tie = CIRecord(3, 2, 4, (0, 1, 2, 3))
+    c_tie = CIRecord(3, 2, (0, 1, 2, 3))
     update_gen_dec(c_tie, n)    # tie: joins top
     assert n.top == [c_first, c_tie]
-    c_up = CIRecord(4, 3, 1, (1,))
+    c_up = CIRecord(4, 3, (1,))
     update_gen_dec(c_up, n)     # one above: old top becomes the runners
     assert n.top == [c_up] and n.runners == [c_first, c_tie] and n.top_supp == 3
-    c_far = CIRecord(5, 1, 5, (0, 1, 2, 3, 4))
+    c_far = CIRecord(5, 1, (0, 1, 2, 3, 4))
     update_gen_dec(c_far, n)    # two or more below: ignored
     assert n.runners == [c_first, c_tie]
-    c_flush = CIRecord(6, 5, 1, (2,))
+    c_flush = CIRecord(6, 5, (2,))
     update_gen_dec(c_flush, n)  # two or more above: flush both
     assert n.top == [c_flush] and n.runners == [] and n.top_supp == 5
 
@@ -693,7 +700,7 @@ def test_closure_of_a_live_ci_is_its_own_record():
     for items in random_stream(random.Random(77), 9, 120, max_len=6):
         driver.push_ids(items)
     eng = driver.engine
-    assert eng.store.live_count > 20
+    assert len(eng.store.records) > 20
     for itemset, rec in eng.store.records.items():
         assert eng.closure_record(itemset) is rec
         assert eng.closure_record(reversed(itemset)) is rec

@@ -125,7 +125,7 @@ def test_end_nodes_spell_the_work_set(stream, t_new):
     # every path stays inside the shifted transaction
     non_root = [n for n in eng.trie.nodes if n.parent is not None]
     assert all(frozenset(n.itemset()) <= t_new for n in non_root)
-    # every cursor is back on DETACHED, and the nodes spelling c & t for
+    # every cursor is back at None, and the nodes spelling c & t for
     # the CIs c the shift routed, with t's own node, are the end nodes
     assert all_detached(eng.store.records.values())
     routed_ends = {id(n) for n in enders(eng.trie, before, t_new)}
@@ -209,7 +209,7 @@ def test_work_bound_and_entry_formula():
             items = tuple(sorted(rng.sample(range(alpha),
                                             rng.randint(1, min(8, alpha)))))
             k_m = max(k_m, len(items))
-            l_m = eng.store.live_count
+            l_m = len(eng.store.records)
             expected_entries = len(items) + sum(
                 scan_length(eng.index, a) for a in items)
             if len(window) >= capacity:
@@ -218,7 +218,7 @@ def test_work_bound_and_entry_formula():
                 rep = eng.shift_remove(otid)
                 assert rep.entries_scanned == exp_rm
                 assert rep.nodes_created <= rep.entries_scanned + 1
-                l_m = eng.store.live_count
+                l_m = len(eng.store.records)
                 expected_entries = len(items) + sum(
                     scan_length(eng.index, a) for a in items)
             rep = eng.shift_add(tid, items)

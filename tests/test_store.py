@@ -73,7 +73,7 @@ def build_table2_state():
 
 def test_fresh_store_holds_no_records():
     store = CIStore()
-    assert store.records == {} and store.live_count == 0
+    assert store.records == {}
     rec = store.new_ci(1, (0, 2))
     assert rec.id == 1 and rec.size == 2 and rec.itemset == (0, 2)
     assert store.records == {(0, 2): rec}
@@ -95,7 +95,7 @@ def test_materialize_singleton():
 def test_materialize_unknown_record():
     store, _, _ = build_table2_state()
     with pytest.raises(KeyError):
-        materialize_itemset(store, CIRecord(999, 1, 2, (0, 5)))
+        materialize_itemset(store, CIRecord(999, 1, (0, 5)))
 
 
 def test_materialize_after_removal_is_lookup_error():
@@ -148,9 +148,9 @@ def test_index_removal_leaves_other_records():
     # the index does not consult the store, so two records may share items;
     # each is filed and unfiled under the items its own itemset names
     index = InvertedIndex()
-    a = CIRecord(1, 1, 2, (0, 1))
-    b = CIRecord(2, 2, 2, (0, 2))
-    c = CIRecord(3, 1, 2, (0, 1))
+    a = CIRecord(1, 1, (0, 1))
+    b = CIRecord(2, 2, (0, 2))
+    c = CIRecord(3, 1, (0, 1))
     index.add(a)
     index.add(b)
     index.add(c)
@@ -162,14 +162,14 @@ def test_index_removal_leaves_other_records():
         index.remove([a])
     # a record naming an item that has no list
     with pytest.raises(AssertionError, match="of item 7"):
-        index.remove([CIRecord(4, 1, 1, (7,))])
+        index.remove([CIRecord(4, 1, (7,))])
 
 
 def test_index_batch_removal_keeps_filing_order():
     # one call unfiles several records that share items: the survivors keep
     # the order they were filed in, which fixes routing order and so ids
     index = InvertedIndex()
-    recs = [CIRecord(i, 1, len(items), items) for i, items in enumerate(
+    recs = [CIRecord(i, 1, items) for i, items in enumerate(
         [(0, 1), (0,), (0, 2), (1, 2), (0, 1, 2), (2,), (0, 3)], start=1)]
     for rec in recs:
         index.add(rec)
@@ -186,7 +186,7 @@ def test_index_batch_removal_keeps_filing_order():
         index.remove([r6, r4])
     # a record naming an item that has no list, after one that is filed
     with pytest.raises(AssertionError, match="CI 8 missing from inverted list of item 3"):
-        index.remove([r6, CIRecord(8, 1, 1, (3,))])
+        index.remove([r6, CIRecord(8, 1, (3,))])
     # a record filed twice in one list
     index.lists[0].append(r3)
     with pytest.raises(AssertionError, match="item 0 lost 2 entries, expected 1"):
