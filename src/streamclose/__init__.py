@@ -1,9 +1,10 @@
 """Closed-itemset mining over sliding and landmark transaction windows.
 
 The miner maintains the exact family of closed itemsets of the current
-window under single-transaction additions and evictions, storing itemset
-composition only in per-item inverted lists and growing intersections item
-by item in a per-shift trie.  A brute-force referee (``streamclose.oracle``)
+window under single-transaction additions and evictions.  Each closed
+itemset is one record holding its itemset tuple, keyed by that tuple and
+filed in the inverted list of each of its items; intersections grow item by
+item in a per-shift trie.  A brute-force referee (``streamclose.oracle``)
 provides ground truth for verification.
 """
 

@@ -117,8 +117,15 @@ def _cmd_mine(args) -> int:
             if writer:
                 writer.write(rec)
             if args.snapshot_every > 0 and rec.shift % args.snapshot_every == 0:
-                save_snapshot(f"{args.emit_snapshot}.{rec.shift:08d}",
-                              driver.snapshot(args.min_supp), args.format)
+                # A periodic path is known only at its shift, so it is
+                # checked against the other files just before it is opened.
+                path = f"{args.emit_snapshot}.{rec.shift:08d}"
+                for flag, other in paths:
+                    if _same_file(path, other):
+                        sys.stderr.write(f"streamclose mine: error: the periodic snapshot "
+                                         f"{path} and {flag} name the same file\n")
+                        return EXIT_USAGE
+                save_snapshot(path, driver.snapshot(args.min_supp), args.format)
         out.writelines(snapshot_lines(driver.snapshot(args.min_supp), args.format))
     return EXIT_OK
 

@@ -18,10 +18,10 @@ phases:
      node's depth marks a promotion, anything else a creation one above
      the node's support.  On removal, a next-best support one unit below
      the top certifies the node's CI obsolete; otherwise it is demoted.
-  3. Store update.  A created CI's record keeps its itemset, and the index
-     files the record under exactly those items; an obsolete CI leaves the
-     store, and once the shift's obsolete CIs are known the index unfiles
-     them together from the lists their records name.
+  3. Index update.  The index creates each new CI's record, keyed by its
+     itemset and filed under exactly those items; once the shift's obsolete
+     CIs are known, the index drops their keys and unfiles them together
+     from the lists their records name.
 
 The lemmas behind phases 1 and 2 are written out, with the tests that
 check them, in docs/algorithm.md.
@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .store import CIRecord, CIStore, InvertedIndex, normalize, snapshot
+from .store import CIRecord, InvertedIndex, normalize, snapshot
 from .trie import Trie, TrieNode
 
 
@@ -76,7 +76,6 @@ class MinerEngine:
     """
 
     def __init__(self):
-        self.store = CIStore()
         self.index = InvertedIndex()
         self.trie = Trie()
         self.window: dict[int, tuple] = {}  # tid -> normalized itemset
@@ -194,12 +193,11 @@ class MinerEngine:
         return entries
 
     # ------------------------------------------------------------------
-    # categorization and store update
+    # categorization and index update
     # ------------------------------------------------------------------
 
     def update_cis_inc(self, tid, entries_scanned: int = 0) -> ShiftReport:
         """Phase 2+3 of an addition over the engine's final trie."""
-        store = self.store
         index = self.index
         nodes = self.trie.nodes
         report = ShiftReport("add", tid, nodes_created=len(nodes),
@@ -216,8 +214,7 @@ class MinerEngine:
                 promoted.append(c.id)
             else:
                 itemset = n.itemset()
-                rec = store.new_ci(s + 1, itemset)
-                index.add(rec)
+                rec = index.add(s + 1, itemset)
                 new_cis.append((rec.id, itemset, rec.support))
         return report
 
@@ -227,9 +224,8 @@ class MinerEngine:
         Another CI ending on the end node one support unit below its lone
         top certifies the node's CI obsolete; otherwise the top is demoted.
         t is in the window, so its own node must have a top.  An obsolete CI
-        ends on its own node, so the node's depth must be its size; it then
-        leaves the store, and after the loop the index unfiles the shift's
-        obsolete CIs in one call.
+        ends on its own node, so the node's depth must be its size.  After
+        the loop the index drops the shift's obsolete CIs in one call.
         """
         report = ShiftReport("remove", tid, nodes_created=len(self.trie.nodes),
                              entries_scanned=entries_scanned)
@@ -251,7 +247,6 @@ class MinerEngine:
                 if n.depth != x.size:
                     raise AssertionError(
                         f"CI {x.id}: path length {n.depth} vs size {x.size}")
-                self.store.remove(x)
                 gone.append(x)
                 obsolete.append((x.id, x.itemset))
             else:
@@ -267,13 +262,13 @@ class MinerEngine:
 
     def snapshot(self, min_supp: int = 1) -> list[tuple[tuple, int]]:
         self.check_usable()
-        return snapshot(self.store, min_supp)
+        return snapshot(self.index, min_supp)
 
     def closure_record(self, items) -> CIRecord | None:
         """Live CI record whose itemset is the closure of ``items``.
 
         None when no window transaction covers ``items`` (or it is empty).
-        The store holds exactly the closed family, so a query that is a live
+        The index keys exactly the closed family, so a query that is a live
         CI's itemset is closed and that record is its closure: one dict
         probe.  Otherwise the CIs containing ``items`` are the members
         common to its items' inverted lists, so the shortest of those lists
@@ -297,10 +292,11 @@ class MinerEngine:
         items = normalize(items)
         if not items:
             return None
-        rec = self.store.records.get(items)
+        index = self.index
+        rec = index.records.get(items)
         if rec is not None:
             return rec
-        lists = self.index.lists
+        lists = index.lists
         shortest = pivot = None
         for a in items:
             lst = lists.get(a)

@@ -171,7 +171,7 @@ class ClosedItemsetStreamMiner:
         the closure's ids are translated by ``ItemDictionary.tokens_of``.
         """
         driver = self._require_fitted()
-        store = driver.engine.store
+        index = driver.engine.index
         dictionary = driver.dictionary
         out = []
         i = 0
@@ -180,7 +180,7 @@ class ClosedItemsetStreamMiner:
             if rec is None:
                 out.append(None)
             else:
-                out.append(dictionary.tokens_of(materialize_itemset(store, rec)))
+                out.append(dictionary.tokens_of(materialize_itemset(index, rec)))
             i += 1
         return out
 

@@ -14,9 +14,10 @@ records in filing order, one pointer per entry: routing only iterates it,
 filing appends to it, and a shift unfiles its obsolete CIs in one batch
 that rebuilds each list it touches once.
 
-The store files each live record under its itemset tuple.  It holds exactly
-the window's closed family, so a query equal to a key is closed and that
-record is its closure: one dict probe, no list walked.
+The index also keys each live record by its itemset tuple, and it alone
+creates and drops records.  Its keys are exactly the window's closed
+family, so a query equal to a key is closed and that record is its
+closure: one dict probe, no list walked.
 """
 
 from __future__ import annotations
@@ -119,7 +120,7 @@ class CIRecord:
     finished trie alive.
 
     ``itemset`` is the CI's ascending item-id tuple: the items whose lists
-    the index files the record in, and its key in ``CIStore.records``.
+    the index files the record in, and its key in ``InvertedIndex.records``.
     Keeping it here makes emission one pass over the records and a
     closure's itemset one attribute read, instead of a rebuild from the
     lists.  ``size`` is its length, derived here from ``itemset`` and read
@@ -148,75 +149,64 @@ class CIRecord:
         return f"CIRecord(id={self.id}, support={self.support}, size={self.size})"
 
 
-class CIStore:
-    """Owns the live CI records, keyed by itemset, and the id counter.
+class InvertedIndex:
+    """The live CI records, keyed by itemset and filed by item.
 
-    ``records`` maps each live CI's ascending itemset tuple (the one on its
-    record) to the record, so a closed query finds its record with one
-    probe.  Ids start at 1, and ids of removed CIs are never reused within a
-    run.
+    ``records`` maps each live CI's itemset tuple (the one on its record) to
+    the record, so a closed query finds it with one probe.  ``lists`` maps
+    an item id to the records holding that item, a plain list in filing
+    order whose order fixes routing order, and so trie node order and ids.
+    ``add`` creates, keys and files each record in one call, so ids start at
+    1, are never reused within a run, and ascend along every list.
+    ``remove`` unfiles a record from exactly the items of its ``itemset``,
+    rebuilding each list it touches once and dropping a list that empties.
     """
 
     def __init__(self):
         self.records: dict[tuple, CIRecord] = {}
+        self.lists: dict[int, list[CIRecord]] = {}
         self.next_id = 1
+        self.entry_count = 0
 
-    def new_ci(self, support: int, itemset: tuple) -> CIRecord:
-        """Create a live record for the ascending ``itemset``.
+    def add(self, support: int, itemset: tuple) -> CIRecord:
+        """Create the live record of the ascending ``itemset``, key and file it.
 
+        The record goes at the end of the list of every item of its itemset.
         An itemset that is already live is an internal invariant violation.
         """
         rec = CIRecord(self.next_id, support, itemset)
         if self.records.setdefault(itemset, rec) is not rec:
             raise AssertionError(f"itemset {itemset} is already a live CI")
         self.next_id += 1
-        return rec
-
-    def remove(self, record: CIRecord) -> None:
-        if self.records.get(record.itemset) is not record:
-            raise KeyError(record.id)
-        del self.records[record.itemset]
-
-
-class InvertedIndex:
-    """item id -> the CI records containing that item.
-
-    A record is filed under, and unfiled from, exactly the items of its
-    ``itemset``.  Each list is a plain list of records in filing order, one
-    pointer per entry; the order fixes routing order, and so trie node order
-    and record ids.  ``remove`` rebuilds each list it touches once, sized to
-    what it keeps, and drops a list that empties.
-    """
-
-    def __init__(self):
-        self.lists: dict[int, list[CIRecord]] = {}
-        self.entry_count = 0
-
-    def add(self, record: CIRecord) -> None:
-        """File ``record`` at the end of the list of every item of its itemset."""
         lists = self.lists
-        items = record.itemset
-        for a in items:
+        for a in itemset:
             lst = lists.get(a)
             if lst is None:
-                lists[a] = [record]
+                lists[a] = [rec]
             else:
-                lst.append(record)
-        self.entry_count += len(items)
+                lst.append(rec)
+        self.entry_count += len(itemset)
+        return rec
 
     def remove(self, records) -> None:
-        """Unfile the distinct ``records`` from the lists of their itemsets' items.
+        """Drop the distinct live ``records``: their keys, then their entries.
 
-        Each list that holds one of them is rebuilt once, keeping the order
-        of the others.  A list that does not lose one entry per record
-        naming its item, or an item with no list, means the index and the
-        store disagree, which is an internal invariant violation, not a
-        user error.
+        KeyError names the first record that is not live, one given twice
+        included.  Each list that holds one of them is then rebuilt once,
+        keeping the order of the others.  A list that does not lose one
+        entry per record naming its item, or an item with no list, means
+        the keys and the lists disagree, which is an internal invariant
+        violation, not a user error.
         """
+        keyed = self.records
         lists = self.lists
         counts = {}
         for rec in records:
-            for a in rec.itemset:
+            itemset = rec.itemset
+            if keyed.get(itemset) is not rec:
+                raise KeyError(rec.id)
+            del keyed[itemset]
+            for a in itemset:
                 counts[a] = counts.get(a, 0) + 1
         gone = set(records)
         for a, n in counts.items():
@@ -236,22 +226,22 @@ class InvertedIndex:
         self.entry_count -= sum(counts.values())
 
 
-def materialize_itemset(store: CIStore, record: CIRecord) -> tuple:
+def materialize_itemset(index: InvertedIndex, record: CIRecord) -> tuple:
     """The ascending itemset of a live CI, as kept on its record.
 
-    KeyError when ``record`` is no longer live: the store must still file
-    the record under its itemset, which tells a removed record from the
-    live one that took its itemset since.  The record is the one statement
-    of which lists hold the CI, so nothing is checked against the index
-    here; the tests audit that invariant after every shift.
+    KeyError when ``record`` is no longer live: the index must still key
+    the record by its itemset, which tells a removed record from the live
+    one that took its itemset since.  The record is the one statement of
+    which lists hold the CI, so no list is read here; the tests audit that
+    invariant after every shift.
     """
     itemset = record.itemset
-    if store.records.get(itemset) is not record:
+    if index.records.get(itemset) is not record:
         raise KeyError(record.id)
     return itemset
 
 
-def snapshot(store: CIStore, min_supp: int = 1) -> list[tuple[tuple, int]]:
+def snapshot(index: InvertedIndex, min_supp: int = 1) -> list[tuple[tuple, int]]:
     """All live CIs at or above ``min_supp`` as (ascending itemset, support).
 
     ``min_supp`` is an ``int`` (``check_int``) of at least 1.  Ordered
@@ -261,7 +251,7 @@ def snapshot(store: CIStore, min_supp: int = 1) -> list[tuple[tuple, int]]:
     if check_int(min_supp, "min_supp") < 1:
         raise ValueError("min_supp must be at least 1")
     rows = []
-    for items, rec in store.records.items():
+    for items, rec in index.records.items():
         if rec.support >= min_supp:
             # tuple() hands back the stored tuple itself, no copy;
             # perfbench's referee test mutates this line

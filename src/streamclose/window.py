@@ -142,7 +142,7 @@ class StreamDriver:
 
     @property
     def live_cis(self) -> int:
-        return len(self.engine.store.records)
+        return len(self.engine.index.records)
 
 
 def replay(source: Iterable[Iterable[int]], driver: StreamDriver) -> Iterator[StatsRecord]:

@@ -15,7 +15,7 @@ from collections import defaultdict
 import pytest
 
 from streamclose import MinerEngine, ShiftReport, StreamDriver, WindowConfig
-from streamclose.store import CIRecord, CIStore, InvertedIndex, normalize
+from streamclose.store import CIRecord, InvertedIndex, normalize
 from streamclose.trie import SUPPORT_FLOOR, Trie, TrieNode
 
 # Ten-transaction worked example; tid n is TABLE1[n - 1].
@@ -68,9 +68,9 @@ def ids_family(engine: MinerEngine) -> dict:
     return {frozenset(items): supp for items, supp in engine.snapshot(1)}
 
 
-def record_of(store: CIStore, ci_id: int) -> CIRecord:
-    """The live record with id ``ci_id``; the store is keyed by itemset."""
-    for rec in store.records.values():
+def record_of(index: InvertedIndex, ci_id: int) -> CIRecord:
+    """The live record with id ``ci_id``; the index keys records by itemset."""
+    for rec in index.records.values():
         if rec.id == ci_id:
             return rec
     raise KeyError(ci_id)
@@ -175,11 +175,12 @@ def scan_length(index: InvertedIndex, item) -> int:
     return len(index.lists.get(item, ()))
 
 
-def check_store_invariants(store: CIStore, index: InvertedIndex) -> None:
-    """Raise AssertionError when the store and the index disagree.
+def check_store_invariants(index: InvertedIndex) -> None:
+    """Raise AssertionError when the index's keys and lists disagree.
 
-    Checks that no inverted list is empty or files a record twice, that
-    every live record is filed under its own itemset, that the itemset is
+    Checks that no inverted list is empty, files a record twice or breaks
+    the ascending record-id order that filing at creation gives every list,
+    that every live record is keyed by its own itemset, that the itemset is
     exactly the set of items whose lists hold the record, that its size
     matches, and the global entry count.
     """
@@ -190,12 +191,17 @@ def check_store_invariants(store: CIStore, index: InvertedIndex) -> None:
             raise AssertionError(f"inverted list of item {a} is empty")
         if len(set(lst)) != len(lst):
             raise AssertionError(f"inverted list of item {a} files a CI twice")
+        last = 0
         for rec in lst:
+            if rec.id <= last:
+                raise AssertionError(
+                    f"inverted list of item {a} files CI {rec.id} after CI {last}")
+            last = rec.id
             parts.setdefault(rec, []).append(a)
             total += 1
     if total != index.entry_count:
         raise AssertionError(f"entry_count {index.entry_count} != actual {total}")
-    for key, rec in store.records.items():
+    for key, rec in index.records.items():
         if key != rec.itemset:
             raise AssertionError(
                 f"CI {rec.id} filed under {key}, but its itemset is {rec.itemset}")
@@ -210,11 +216,11 @@ def check_store_invariants(store: CIStore, index: InvertedIndex) -> None:
             raise AssertionError(
                 f"CI {rec.id}: stored itemset {rec.itemset} vs index items {tuple(items)}"
             )
-    expected = sum(rec.size for rec in store.records.values())
+    expected = sum(rec.size for rec in index.records.values())
     if expected != index.entry_count:
         raise AssertionError("sum of sizes disagrees with index entry count")
     for rec in parts:
-        if store.records.get(rec.itemset) is not rec:
+        if index.records.get(rec.itemset) is not rec:
             raise AssertionError(f"index references dead CI {rec.id}")
 
 

@@ -75,7 +75,7 @@ def test_criterion_2_golden_decrement():
     assert obsolete == {tuple("abc"), tuple("cf"), tuple("ef"), tuple("abcef"),
                         tuple("f")}
     demoted = {tuple(tokens[a] for a in materialize_itemset(
-        eng.store, record_of(eng.store, cid)))
+        eng.index, record_of(eng.index, cid)))
                for cid in rep2.demoted}
     assert demoted == {tuple("bc"), tuple("c")}
     db = {t: frozenset(x) for t, x in eng.window.items()}
@@ -94,7 +94,7 @@ def test_criterion_3_category_report():
     new = {tuple(tok(a) for a in i): s for _, i, s in report.new_cis}
     assert new == {tuple("bcgh"): 2, tuple("cgh"): 3, tuple("gh"): 4, tuple("h"): 5}
     promoted = {tuple(tok(a) for a in materialize_itemset(
-        eng.store, record_of(eng.store, cid)))
+        eng.index, record_of(eng.index, cid)))
                 for cid in report.promoted}
     assert promoted == {tuple("bc"), tuple("c"), tuple("g")}
     # supports obey "closure support before the shift, plus one"
@@ -257,7 +257,7 @@ def audit_shift(eng, kind, t_items, db_before, db_after, fam_before,
                 tally.property_violations.append(
                     f"{where}: new CI {sorted(x)} support {supp} != {want}")
 
-    check_store_invariants(eng.store, eng.index)
+    check_store_invariants(eng.index)
     return fam_after, by_id_after
 
 
@@ -282,9 +282,9 @@ def fuzz() -> FuzzTally:
                 otid, oitems = window.pop(0)
                 db_before = {j: frozenset(x) for j, x in window}
                 db_before[otid] = frozenset(oitems)
-                l_m = len(eng.store.records)
+                l_m = len(eng.index.records)
                 pre = len(oitems) + sum(scan_length(eng.index, a) for a in oitems)
-                recs = list(eng.store.records.values())
+                recs = list(eng.index.records.values())
                 rep = eng.shift_remove(otid)
                 tally.shifts += 1
                 db_after = {j: frozenset(x) for j, x in window}
@@ -292,9 +292,9 @@ def fuzz() -> FuzzTally:
                     eng, "remove", oitems, db_before, db_after, fam, by_id, recs,
                     rep, k_m, l_m, pre, tally, f"s{s}/t{tid}/rm")
             db_before = {j: frozenset(x) for j, x in window}
-            l_m = len(eng.store.records)
+            l_m = len(eng.index.records)
             pre = len(items) + sum(scan_length(eng.index, a) for a in items)
-            recs = list(eng.store.records.values())
+            recs = list(eng.index.records.values())
             rep = eng.shift_add(tid, items)
             tally.shifts += 1
             window.append((tid, items))
@@ -336,14 +336,14 @@ def test_criterion_5_round_trip_identity():
             eng.shift_add(tid, tuple(sorted(
                 rng.sample(range(alpha), rng.randint(1, min(8, alpha))))))
         before_records = {r.id: (r.itemset, r.support, r.size)
-                          for r in eng.store.records.values()}
+                          for r in eng.index.records.values()}
         before_snapshot = eng.snapshot(1)
         probe = tuple(sorted(rng.sample(range(alpha),
                                         rng.randint(1, min(8, alpha)))))
         eng.shift_add(10_000, probe)
         eng.shift_remove(10_000)
         after_records = {r.id: (r.itemset, r.support, r.size)
-                         for r in eng.store.records.values()}
+                         for r in eng.index.records.values()}
         assert after_records == before_records, f"case {case}"
         assert eng.snapshot(1) == before_snapshot, f"case {case}"
     report_pass(5, f"{N_ROUND_TRIPS} add-then-remove round trips restored "

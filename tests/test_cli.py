@@ -242,6 +242,32 @@ def test_mine_outputs_must_not_name_the_input_or_each_other(d10, tmp_path, capsy
     assert sorted(tmp_path.iterdir()) == before
 
 
+@pytest.mark.parametrize("flag", ["--input", "--stats"])
+def test_mine_periodic_snapshot_must_not_name_the_input_or_the_stats(tmp_path, capsys, flag):
+    # a periodic path is known only at its shift, so the run stops there,
+    # before that snapshot is opened: the input keeps its bytes, and the
+    # stats CSV keeps the rows written so far
+    data = b"a b\nb c\na c\nc d\na b c\nb d\n"
+    periodic = tmp_path / "snap.00000002"
+    src = periodic if flag == "--input" else tmp_path / "in.dat"
+    src.write_bytes(data)
+    argv = ["--stats", str(periodic)] if flag == "--stats" else []
+    assert cli.main(["mine", "--input", str(src), "--window", "3", "--emit-snapshot",
+                     str(tmp_path / "snap"), "--snapshot-every", "2", *argv]) == 1
+    assert capsys.readouterr() == (
+        "", f"streamclose mine: error: the periodic snapshot {periodic} and {flag} "
+            "name the same file\n")
+    assert src.read_bytes() == data
+    if flag == "--stats":
+        ref = tmp_path / "ref.csv"
+        assert cli.main(["mine", "--input", str(src), "--window", "3",
+                         "--stats", str(ref)]) == 0
+        # wall_ns, the last column, is the only one that varies between runs
+        rows = [[line.rsplit(",", 1)[0] for line in f.read_text().splitlines()]
+                for f in (periodic, ref)]
+        assert rows[0] == rows[1][:3]
+
+
 @pytest.mark.skipif(not Path("/dev/null").exists(), reason="needs /dev/null")
 def test_mine_may_send_both_outputs_to_a_device(d10, capsys):
     # writing a device truncates nothing, so sharing one is no clash

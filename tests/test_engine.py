@@ -43,7 +43,7 @@ def tokens_of(driver, items):
 def promoted_tokens(driver, report):
     eng = driver.engine
     return {tokens_of(driver, materialize_itemset(
-        eng.store, record_of(eng.store, cid)))
+        eng.index, record_of(eng.index, cid)))
             for cid in report.promoted}
 
 
@@ -131,7 +131,7 @@ def test_remove_second_transaction_golden(table2_driver):
     assert obsolete == {tuple("abc"), tuple("cf"), tuple("ef"), tuple("abcef"),
                         tuple("f")}
     demoted = {tokens_of(driver, materialize_itemset(
-        eng.store, record_of(eng.store, cid)))
+        eng.index, record_of(eng.index, cid)))
                for cid in report.demoted}
     assert demoted == {tuple("bc"), tuple("c")}
     assert ids_family(eng) == oracle.closed_itemsets(window_db(eng.window.items()))
@@ -141,8 +141,8 @@ def test_remove_second_transaction_golden(table2_driver):
     trie = eng.trie
     node_cf = child(trie, child(trie, trie.root, d.intern("c")), d.intern("f"))
     assert node_cf.top is not None and node_cf.top.support == node_cf.top_supp == 2
-    assert all_detached(eng.store.records.values())
-    certifiers = enders(trie, eng.store.records.values(), items)[node_cf]
+    assert all_detached(eng.index.records.values())
+    certifiers = enders(trie, eng.index.records.values(), items)[node_cf]
     assert len(certifiers) == 1 and certifiers[0].support == node_cf.next_supp == 1
     assert certifiers[0].size == 5  # cdfgh
     assert f"top={node_cf.top.id} supp=2 next=1" in dump(eng.trie)
@@ -179,7 +179,7 @@ def test_add_rejected_order_leaves_state_unchanged():
     assert ids_family(eng) == {frozenset({1, 3}): 1}
     eng.shift_remove(1)
     assert ids_family(eng) == {}
-    check_store_invariants(eng.store, eng.index)
+    check_store_invariants(eng.index)
 
 
 def test_remove_rejected_order_leaves_state_unchanged():
@@ -196,7 +196,7 @@ def test_remove_rejected_order_leaves_state_unchanged():
     assert ids_family(eng) == before
     eng.shift_remove(1, item_order=[3, 1])
     assert ids_family(eng) == {frozenset({1}): 1}
-    check_store_invariants(eng.store, eng.index)
+    check_store_invariants(eng.index)
 
 
 @pytest.mark.parametrize("kind", ["add", "remove"])
@@ -205,7 +205,7 @@ def test_failed_shift_poisons_the_engine(kind):
     eng.shift_add(1, (0, 1))
     eng.shift_add(2, (1,))
 
-    def broken(record):
+    def broken(*args):
         raise MemoryError("simulated")
 
     if kind == "add":
@@ -251,8 +251,8 @@ def test_remove_last_transaction_empties_family():
     eng.shift_add(1, (3, 4))
     eng.shift_remove(1)
     assert eng.snapshot(1) == []
-    assert len(eng.store.records) == 0
-    check_store_invariants(eng.store, eng.index)
+    assert len(eng.index.records) == 0
+    check_store_invariants(eng.index)
 
 
 def test_remove_duplicate_transaction_only_demotes():
@@ -281,13 +281,13 @@ def test_stale_runner_entry_does_not_certify(table2_driver):
     for driver, shift in ((table2_driver, None), (landmark_driver(TABLE1), step_shift)):
         eng = driver.engine
         eng.shift_remove(0)
-        abcef_rec = next(rec for rec in eng.store.records.values() if rec.size == 5)
+        abcef_rec = next(rec for rec in eng.index.records.values() if rec.size == 5)
         items = eng.window[1]
         if shift is None:
             report = eng.shift_remove(1)
         else:
             report = shift(eng, "remove", 1, table=table)
-        assert all_detached(eng.store.records.values()) and abcef_rec.cursor is None
+        assert all_detached(eng.index.records.values()) and abcef_rec.cursor is None
         node_abc = abc_node(driver)
         above_end = []                      # abcef ends deeper, below abc
         (n,) = enders(eng.trie, [abcef_rec], items)
@@ -296,7 +296,7 @@ def test_stale_runner_entry_does_not_certify(table2_driver):
             above_end.append(n)
             n = n.parent
         assert any(n is node_abc for n in above_end)
-        abc_enders = enders(eng.trie, eng.store.records.values(), items)[node_abc]
+        abc_enders = enders(eng.trie, eng.index.records.values(), items)[node_abc]
         assert [r.size for r in abc_enders] == [4]  # abcd, support one below abc
         assert abc_enders[0].support == node_abc.next_supp == node_abc.top_supp - 1
         assert tuple("abc") in {tokens_of(driver, i) for _, i in report.obsolete}
@@ -325,7 +325,7 @@ def test_remove_shrinks_inverted_lists(table2_driver):
     assert len(eng.index.lists[g]) == len_g - 3   # g lost gh, cgh, bcgh
     assert len(eng.index.lists[h]) == len_h - 4   # h lost h, gh, cgh, bcgh
     assert token_family(driver) == TABLE3
-    check_store_invariants(eng.store, eng.index)
+    check_store_invariants(eng.index)
 
 
 def test_remove_size_one_ci_touches_one_list():
@@ -347,8 +347,8 @@ def test_expand_path_walks_bc(table3_driver):
     eng = driver.engine
     d = driver.dictionary
     b, c = d.intern("b"), d.intern("c")
-    bc = eng.store.records[(b, c)]
-    assert materialize_itemset(eng.store, bc) == (b, c)
+    bc = eng.index.records[(b, c)]
+    assert materialize_itemset(eng.index, bc) == (b, c)
     eng.trie.reset()
     table = defaultdict(PassThrough)
     ci0 = bootstrap_record()
@@ -379,16 +379,16 @@ def test_every_cursor_rests_on_detached_between_shifts(table3_driver):
     driver = table3_driver
     eng = driver.engine
     d = (driver.dictionary.intern("d"),)
-    d_rec = eng.store.records[d]
-    assert materialize_itemset(eng.store, d_rec) == d
-    assert all_detached(eng.store.records.values())
+    d_rec = eng.index.records[d]
+    assert materialize_itemset(eng.index, d_rec) == d
+    assert all_detached(eng.index.records.values())
     old_nodes = list(eng.trie.nodes)
-    before = list(eng.store.records.values())
+    before = list(eng.index.records.values())
     driver.push(TABLE1[9])  # bcgh shares nothing with {d}
     routed = enders(eng.trie, before, eng.window[9])
     assert sum(map(len, routed.values())) > 1
     assert d_rec not in [r for group in routed.values() for r in group]
-    assert all_detached(eng.store.records.values()) and all_detached(before)
+    assert all_detached(eng.index.records.values()) and all_detached(before)
     assert grows_from_its_root(eng.trie)  # no node grew from a resting cursor
     assert all(n.child is None for n in old_nodes)  # child links cut by the reset
     # a removal puts its cursors back too
@@ -408,7 +408,7 @@ def test_own_path_is_laid_first_and_ends_on_an_end_node(table3_driver):
     # abcdefgh ends on bcgh over the node's starting support 0
     assert tokens_of(driver, own.top.itemset) == tuple("abcdefgh")
     assert own.top_supp == 1 and own.next_supp == 0
-    assert eng.store.records[own.itemset()].support == 2
+    assert eng.index.records[own.itemset()].support == 2
 
 
 def test_own_node_without_a_containing_transaction_has_no_top():
@@ -430,7 +430,7 @@ def test_new_record_cursor_is_detached():
     eng = MinerEngine()
     report = eng.shift_add(1, (0, 1))
     ci_id, itemset, _ = report.new_cis[0]
-    rec = eng.store.records[itemset]
+    rec = eng.index.records[itemset]
     assert rec.id == ci_id
     assert rec.cursor is None
     # the next shift routes it from the root and sets it back to None
@@ -462,7 +462,7 @@ def test_update_gen_inc_tracks_class_closure(table3_driver):
     # the class closure of {h} before the shift was fh at support 4, and fh
     # is not contained in bcgh, so its support is untouched
     assert top.support == 4
-    assert materialize_itemset(eng.store, top) == \
+    assert materialize_itemset(eng.index, top) == \
         tuple(d.intern(t) for t in "fh")
 
 
@@ -495,7 +495,7 @@ def test_removal_refuses_an_inconsistent_end_node(fault):
     # obsolete CI whose node path is shorter than its itemset
     eng = MinerEngine()
     eng.shift_add(1, (0, 1))
-    rec = eng.store.records[(0, 1)]
+    rec = eng.index.records[(0, 1)]
     eng.trie.reset()
     node_0 = add_child(eng.trie, eng.trie.root, 0)
     n = add_child(eng.trie, node_0, 1)
@@ -592,7 +592,7 @@ def test_stored_itemsets_match_the_referee_after_evictions():
                 obsolete += len(rep.obsolete)
     assert obsolete > 0
     db = window_db(driver.engine.window.items())
-    live = list(driver.engine.store.records.values())
+    live = list(driver.engine.index.records.values())
     for rec in live:
         assert oracle.closure(db, rec.itemset) == frozenset(rec.itemset)
         assert rec.support == len(oracle.support_tids(db, rec.itemset))
@@ -634,7 +634,7 @@ def test_closure_picks_max_support_superset_in_any_order(stream, query):
     for order in itertools.permutations(query):
         rec = eng.closure_record(order)
         assert rec.support == len(oracle.support_tids(db, query))
-        assert frozenset(materialize_itemset(eng.store, rec)) == want
+        assert frozenset(materialize_itemset(eng.index, rec)) == want
 
 
 def test_closure_of_fully_evicted_item_is_none():
@@ -666,7 +666,7 @@ def test_closure_query_normalization():
 def test_closure_probe_and_scan_agree_with_the_referee():
     # every 1-3 item subset of every window transaction, at several points
     # of a sliding stream with evictions: the closure and its support must
-    # be the referee's whether the store probe or the list scan answers
+    # be the referee's whether the key probe or the list scan answers
     driver = StreamDriver(WindowConfig(capacity=25, mode="sliding"))
     eng = driver.engine
     probed = scanned = obsolete = 0
@@ -680,7 +680,7 @@ def test_closure_probe_and_scan_agree_with_the_referee():
         queries = {q for t in db.values() for k in (1, 2, 3)
                    for q in itertools.combinations(sorted(t), k)}
         for q in sorted(queries):
-            if q in eng.store.records:
+            if q in eng.index.records:
                 probed += 1
             else:
                 scanned += 1
@@ -700,8 +700,8 @@ def test_closure_of_a_live_ci_is_its_own_record():
     for items in random_stream(random.Random(77), 9, 120, max_len=6):
         driver.push_ids(items)
     eng = driver.engine
-    assert len(eng.store.records) > 20
-    for itemset, rec in eng.store.records.items():
+    assert len(eng.index.records) > 20
+    for itemset, rec in eng.index.records.items():
         assert eng.closure_record(itemset) is rec
         assert eng.closure_record(reversed(itemset)) is rec
 
@@ -740,7 +740,7 @@ def test_non_closed_queries_agree_with_the_referee(mode):
         alphabet = sorted(set().union(*db.values()))
         for k in (1, 2, 3):
             for q in itertools.combinations(alphabet, k):
-                if q in eng.store.records:
+                if q in eng.index.records:
                     continue
                 rec = eng.closure_record(q[::-1])
                 tids = oracle.support_tids(db, q)

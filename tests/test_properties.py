@@ -44,7 +44,7 @@ def test_family_matches_referee_after_every_push(stream, capacity):
         assert ids_family(driver.engine) == want
         # an item keeps an inverted list only while a window transaction holds it
         assert set(driver.engine.index.lists) == {a for items in window.values() for a in items}
-    check_store_invariants(driver.engine.store, driver.engine.index)
+    check_store_invariants(driver.engine.index)
 
 
 @given(st.lists(st.frozensets(st.integers(0, 9), max_size=6), max_size=30),
@@ -83,15 +83,15 @@ def test_round_trip_restores_records(stream, extra):
     for tid, t in enumerate(stream):
         eng.shift_add(tid, tuple(sorted(t)))
     before = {rec.id: (rec.itemset, rec.support, rec.size)
-              for rec in eng.store.records.values()}
+              for rec in eng.index.records.values()}
     snap = eng.snapshot(1)
     eng.shift_add(10_000, tuple(sorted(extra)))
     eng.shift_remove(10_000)
     after = {rec.id: (rec.itemset, rec.support, rec.size)
-             for rec in eng.store.records.values()}
+             for rec in eng.index.records.values()}
     assert before == after
     assert snap == eng.snapshot(1)
-    check_store_invariants(eng.store, eng.index)
+    check_store_invariants(eng.index)
 
 
 @given(transactions, st.frozensets(st.integers(0, 9), min_size=1, max_size=6))
@@ -118,7 +118,7 @@ def test_end_nodes_spell_the_work_set(stream, t_new):
     for tid, t in enumerate(stream):
         eng.shift_add(tid, tuple(sorted(t)))
     db = {tid: t for tid, t in enumerate(stream)}
-    before = list(eng.store.records.values())
+    before = list(eng.index.records.values())
     eng.shift_add(10_000, tuple(sorted(t_new)))
     got = {frozenset(n.itemset()) for n in end_nodes(eng.trie)}
     assert got == categories.intersections(db, t_new)
@@ -127,7 +127,7 @@ def test_end_nodes_spell_the_work_set(stream, t_new):
     assert all(frozenset(n.itemset()) <= t_new for n in non_root)
     # every cursor is back at None, and the nodes spelling c & t for
     # the CIs c the shift routed, with t's own node, are the end nodes
-    assert all_detached(eng.store.records.values())
+    assert all_detached(eng.index.records.values())
     routed_ends = {id(n) for n in enders(eng.trie, before, t_new)}
     routed_ends.add(id(eng.trie.nodes[len(t_new)]))
     assert routed_ends == {id(n) for n in end_nodes(eng.trie)}
@@ -149,7 +149,7 @@ def test_end_node_top_is_the_class_closure(stream, t_new):
             assert path == t_new
             assert top is None and n.top_supp == 0
             continue
-        got = frozenset(materialize_itemset(eng.store, top))
+        got = frozenset(materialize_itemset(eng.index, top))
         assert got == oracle.closure(db, path)
 
 
@@ -170,7 +170,7 @@ def test_end_node_keeps_its_top_and_the_next_best_support(stream, capacity):
         shifts.append(("add", tid, items))
         window.append((tid, items))
         for kind, stid, sitems in shifts:
-            before = [(rec, rec.support) for rec in eng.store.records.values()]
+            before = [(rec, rec.support) for rec in eng.index.records.values()]
             if kind == "add":
                 eng.shift_add(stid, sitems)
             else:
@@ -209,7 +209,7 @@ def test_work_bound_and_entry_formula():
             items = tuple(sorted(rng.sample(range(alpha),
                                             rng.randint(1, min(8, alpha)))))
             k_m = max(k_m, len(items))
-            l_m = len(eng.store.records)
+            l_m = len(eng.index.records)
             expected_entries = len(items) + sum(
                 scan_length(eng.index, a) for a in items)
             if len(window) >= capacity:
@@ -218,7 +218,7 @@ def test_work_bound_and_entry_formula():
                 rep = eng.shift_remove(otid)
                 assert rep.entries_scanned == exp_rm
                 assert rep.nodes_created <= rep.entries_scanned + 1
-                l_m = len(eng.store.records)
+                l_m = len(eng.index.records)
                 expected_entries = len(items) + sum(
                     scan_length(eng.index, a) for a in items)
             rep = eng.shift_add(tid, items)

@@ -4,7 +4,6 @@ import pytest
 
 from streamclose.store import (
     CIRecord,
-    CIStore,
     InvertedIndex,
     ItemDictionary,
     materialize_itemset,
@@ -54,7 +53,7 @@ def test_intern_int_tokens():
 # ---------------------------------------------------------------------------
 
 def build_table2_state():
-    """Hand-build the 22-CI store with the worked example's CI numbering."""
+    """Hand-build the 22-CI index with the worked example's CI numbering."""
     rows = [
         ("abcdefgh", 1), ("abcef", 2), ("cf", 3), ("cdfgh", 2), ("f", 5),
         ("ef", 4), ("fgh", 3), ("efgh", 2), ("g", 5), ("fh", 4), ("efh", 3),
@@ -64,38 +63,38 @@ def build_table2_state():
     d = ItemDictionary()
     for t in "abcdefgh":
         d.intern(t)
-    store, index = CIStore(), InvertedIndex()
+    index = InvertedIndex()
     for text, supp in rows:
-        items = tuple(d.intern(t) for t in text)
-        index.add(store.new_ci(supp, items))
-    return store, index, d
+        index.add(supp, tuple(d.intern(t) for t in text))
+    return index, d
 
 
 def test_fresh_store_holds_no_records():
-    store = CIStore()
-    assert store.records == {}
-    rec = store.new_ci(1, (0, 2))
+    index = InvertedIndex()
+    assert index.records == {} and index.lists == {} and index.entry_count == 0
+    rec = index.add(1, (0, 2))
     assert rec.id == 1 and rec.size == 2 and rec.itemset == (0, 2)
-    assert store.records == {(0, 2): rec}
+    assert index.records == {(0, 2): rec}
+    assert index.lists == {0: [rec], 2: [rec]} and index.entry_count == 2
 
 
 def test_materialize_table2_ci16():
-    store, _, d = build_table2_state()
-    items = materialize_itemset(store, record_of(store, 16))
+    index, d = build_table2_state()
+    items = materialize_itemset(index, record_of(index, 16))
     assert tuple(d.tokens[a] for a in items) == ("b", "c")
 
 
 def test_materialize_singleton():
-    store, _, d = build_table2_state()
-    g = store.records[(d.intern("g"),)]
+    index, d = build_table2_state()
+    g = index.records[(d.intern("g"),)]
     assert g.size == 1
-    assert materialize_itemset(store, g) == (d.intern("g"),)
+    assert materialize_itemset(index, g) == (d.intern("g"),)
 
 
 def test_materialize_unknown_record():
-    store, _, _ = build_table2_state()
+    index, _ = build_table2_state()
     with pytest.raises(KeyError):
-        materialize_itemset(store, CIRecord(999, 1, (0, 5)))
+        materialize_itemset(index, CIRecord(999, 1, (0, 5)))
 
 
 def test_materialize_after_removal_is_lookup_error():
@@ -105,74 +104,78 @@ def test_materialize_after_removal_is_lookup_error():
     eng = driver.engine
     d = driver.dictionary
     gh = tuple(d.intern(t) for t in "gh")
-    gh_rec = eng.store.records[gh]
-    assert materialize_itemset(eng.store, gh_rec) == gh
+    gh_rec = eng.index.records[gh]
+    assert materialize_itemset(eng.index, gh_rec) == gh
     report = eng.shift_remove(9)
     assert gh_rec.id in {cid for cid, _ in report.obsolete}
-    assert gh not in eng.store.records
+    assert gh not in eng.index.records
     with pytest.raises(KeyError):
-        materialize_itemset(eng.store, gh_rec)
+        materialize_itemset(eng.index, gh_rec)
 
 
 def test_new_ci_refuses_a_live_itemset():
-    store = CIStore()
-    first = store.new_ci(1, (0, 1))
+    index = InvertedIndex()
+    first = index.add(1, (0, 1))
     with pytest.raises(AssertionError, match="already a live CI"):
-        store.new_ci(2, (0, 1))
-    assert store.records == {(0, 1): first} and store.next_id == 2
+        index.add(2, (0, 1))
+    assert index.records == {(0, 1): first} and index.next_id == 2
+    # the refused record was filed nowhere
+    assert index.lists == {0: [first], 1: [first]} and index.entry_count == 2
 
 
 def test_materialize_refuses_a_removed_record_whose_itemset_is_live_again():
-    # the store keys records by itemset, so a dead record must be told from
+    # the index keys records by itemset, so a dead record must be told from
     # the live one that took its key
-    store, index = CIStore(), InvertedIndex()
-    old = store.new_ci(1, (0, 1))
-    index.add(old)
+    index = InvertedIndex()
+    old = index.add(1, (0, 1))
     index.remove([old])
-    store.remove(old)
+    assert index.records == {} and index.lists == {}
     with pytest.raises(KeyError):
-        materialize_itemset(store, old)
+        materialize_itemset(index, old)
     with pytest.raises(KeyError):
-        store.remove(old)
-    new = store.new_ci(1, (0, 1))
-    index.add(new)
+        index.remove([old])
+    new = index.add(1, (0, 1))
     with pytest.raises(KeyError):
-        materialize_itemset(store, old)
+        materialize_itemset(index, old)
     with pytest.raises(KeyError):
-        store.remove(old)
-    assert store.records[(0, 1)] is new
-    assert materialize_itemset(store, new) == (0, 1)
+        index.remove([old])
+    assert index.records[(0, 1)] is new
+    assert index.lists == {0: [new], 1: [new]}
+    assert materialize_itemset(index, new) == (0, 1)
 
 
 def test_index_removal_leaves_other_records():
-    # the index does not consult the store, so two records may share items;
-    # each is filed and unfiled under the items its own itemset names
+    # records that share items are each filed and unfiled under the items
+    # their own itemsets name
     index = InvertedIndex()
-    a = CIRecord(1, 1, (0, 1))
-    b = CIRecord(2, 2, (0, 2))
-    c = CIRecord(3, 1, (0, 1))
-    index.add(a)
-    index.add(b)
-    index.add(c)
-    assert index.entry_count == 6
+    a = index.add(1, (0, 1))
+    b = index.add(2, (0, 2))
+    c = index.add(1, (1,))
+    assert index.entry_count == 5
     index.remove([a])
-    assert index.lists == {0: [b, c], 1: [c], 2: [b]}
-    assert index.entry_count == 4
-    with pytest.raises(AssertionError, match="CI 1 missing"):
+    assert index.records == {(0, 2): b, (1,): c}
+    assert index.lists == {0: [b], 1: [c], 2: [b]}
+    assert index.entry_count == 3
+    # a record that is no longer live
+    with pytest.raises(KeyError, match="1"):
         index.remove([a])
-    # a record naming an item that has no list
-    with pytest.raises(AssertionError, match="of item 7"):
-        index.remove([CIRecord(4, 1, (7,))])
+    # a live record missing from one of its lists
+    index.lists[0].remove(b)
+    with pytest.raises(AssertionError, match="CI 2 missing from inverted list of item 0"):
+        index.remove([b])
+    # a live record naming an item that has no list
+    del index.lists[1]
+    with pytest.raises(AssertionError, match="CI 3 missing from inverted list of item 1"):
+        index.remove([c])
 
 
 def test_index_batch_removal_keeps_filing_order():
     # one call unfiles several records that share items: the survivors keep
     # the order they were filed in, which fixes routing order and so ids
     index = InvertedIndex()
-    recs = [CIRecord(i, 1, items) for i, items in enumerate(
-        [(0, 1), (0,), (0, 2), (1, 2), (0, 1, 2), (2,), (0, 3)], start=1)]
-    for rec in recs:
-        index.add(rec)
+    recs = [index.add(1, items) for items in
+            [(0, 1), (0,), (0, 2), (1, 2), (0, 1, 2), (2,), (0, 3)]]
+    assert [rec.id for rec in recs] == list(range(1, 8))
     assert index.entry_count == 13
     r1, r2, r3, r4, r5, r6, r7 = recs
     index.remove([r5, r1, r7])
@@ -180,17 +183,31 @@ def test_index_batch_removal_keeps_filing_order():
     assert index.entry_count == 13 - 7
     index.remove([r4, r2])
     assert index.lists == {0: [r3], 2: [r3, r6]}  # item 1 dropped
+    assert index.records == {(0, 2): r3, (2,): r6}
     assert index.entry_count == 3
-    # a record missing from one of its lists, among records that are there
-    with pytest.raises(AssertionError, match="CI 4 missing from inverted list of item 2"):
-        index.remove([r6, r4])
-    # a record naming an item that has no list, after one that is filed
-    with pytest.raises(AssertionError, match="CI 8 missing from inverted list of item 3"):
-        index.remove([r6, CIRecord(8, 1, (3,))])
+    # a record given twice, or no longer live, after one that is live
+    with pytest.raises(KeyError, match="6"):
+        index.remove([r6, r6])
+    with pytest.raises(KeyError, match="4"):
+        index.remove([r3, r4])
+    # a live record missing from one of its lists, after one that is filed
+    index = InvertedIndex()
+    r1, r2, r3 = (index.add(1, items) for items in [(0, 1), (1,), (0, 2)])
+    index.lists[1].remove(r1)
+    with pytest.raises(AssertionError, match="CI 1 missing from inverted list of item 1"):
+        index.remove([r2, r1])
+    # a live record naming an item that has no list, after one that is filed
+    index = InvertedIndex()
+    r1, r2 = (index.add(1, items) for items in [(0,), (0, 3)])
+    del index.lists[3]
+    with pytest.raises(AssertionError, match="CI 2 missing from inverted list of item 3"):
+        index.remove([r1, r2])
     # a record filed twice in one list
-    index.lists[0].append(r3)
+    index = InvertedIndex()
+    r1, r2 = (index.add(1, items) for items in [(0,), (0, 1)])
+    index.lists[0].append(r2)
     with pytest.raises(AssertionError, match="item 0 lost 2 entries, expected 1"):
-        index.remove([r3])
+        index.remove([r2])
 
 
 # ---------------------------------------------------------------------------
@@ -208,14 +225,14 @@ def test_snapshot_high_threshold():
 
 
 def test_snapshot_empty_store():
-    store = CIStore()
-    assert snapshot(store, 1) == []
-    assert snapshot(store, 99) == []
+    index = InvertedIndex()
+    assert snapshot(index, 1) == []
+    assert snapshot(index, 99) == []
 
 
 def test_snapshot_rejects_zero_threshold():
     with pytest.raises(ValueError):
-        snapshot(CIStore(), 0)
+        snapshot(InvertedIndex(), 0)
 
 
 @pytest.mark.parametrize("min_supp", [1.5, True, "2"])
@@ -236,86 +253,96 @@ def test_snapshot_is_sorted_lexicographically():
 
 
 def test_store_invariants_catch_drift():
-    store, index, _ = build_table2_state()
-    check_store_invariants(store, index)
-    record_of(store, 16).size = 3  # lie about bc's size
+    index, _ = build_table2_state()
+    check_store_invariants(index)
+    record_of(index, 16).size = 3  # lie about bc's size
     with pytest.raises(AssertionError):
-        check_store_invariants(store, index)
+        check_store_invariants(index)
 
 
 def test_store_invariants_catch_an_empty_list():
-    store, index, d = build_table2_state()
+    index, d = build_table2_state()
     index.lists[d.intern("z")] = {}
     with pytest.raises(AssertionError, match="is empty"):
-        check_store_invariants(store, index)
+        check_store_invariants(index)
 
 
 def test_store_invariants_catch_a_misfiled_record():
-    store, index, d = build_table2_state()
-    check_store_invariants(store, index)
-    rec = record_of(store, 16)  # bc, filed under bd instead
-    del store.records[rec.itemset]
-    store.records[(d.intern("b"), d.intern("d"))] = rec
+    index, d = build_table2_state()
+    check_store_invariants(index)
+    rec = record_of(index, 16)  # bc, filed under bd instead
+    del index.records[rec.itemset]
+    index.records[(d.intern("b"), d.intern("d"))] = rec
     with pytest.raises(AssertionError, match="filed under"):
-        check_store_invariants(store, index)
+        check_store_invariants(index)
 
 
 def test_store_invariants_catch_a_record_without_support():
-    store, index, _ = build_table2_state()
-    record_of(store, 16).support = 0
+    index, _ = build_table2_state()
+    record_of(index, 16).support = 0
     with pytest.raises(AssertionError, match="has support 0"):
-        check_store_invariants(store, index)
+        check_store_invariants(index)
 
 
 def test_materialize_returns_the_stored_tuple():
-    store, _, _ = build_table2_state()
-    rec = record_of(store, 16)
-    assert materialize_itemset(store, rec) is rec.itemset
+    index, _ = build_table2_state()
+    rec = record_of(index, 16)
+    assert materialize_itemset(index, rec) is rec.itemset
 
 
 def test_store_invariants_catch_a_missing_list_entry():
-    store, index, _ = build_table2_state()
-    rec = record_of(store, 16)
+    index, _ = build_table2_state()
+    rec = record_of(index, 16)
     index.lists[rec.itemset[-1]].remove(rec)
     index.entry_count -= 1
     rec.size -= 1  # keep every count consistent: only membership is wrong
     with pytest.raises(AssertionError, match="stored itemset"):
-        check_store_invariants(store, index)
+        check_store_invariants(index)
 
 
 def test_store_invariants_catch_an_extra_list_entry():
-    store, index, d = build_table2_state()
-    rec = record_of(store, 16)  # bc
+    index, d = build_table2_state()
+    rec = record_of(index, 16)  # bc
     index.lists[d.intern("a")].append(rec)
     index.entry_count += 1
     rec.size += 1
     with pytest.raises(AssertionError, match="stored itemset"):
-        check_store_invariants(store, index)
+        check_store_invariants(index)
 
 
 def test_store_invariants_catch_a_duplicated_list_entry():
     # a plain list can file a record twice, which a dict could not
-    store, index, d = build_table2_state()
-    rec = record_of(store, 16)  # bc
+    index, d = build_table2_state()
+    rec = record_of(index, 16)  # bc
     index.lists[d.intern("c")].append(rec)
     index.entry_count += 1
     rec.size += 1  # keep every count consistent: only the duplicate is wrong
     with pytest.raises(AssertionError, match="files a CI twice"):
-        check_store_invariants(store, index)
+        check_store_invariants(index)
+
+
+def test_store_invariants_catch_a_list_out_of_filing_order():
+    # filing happens only at creation, so every list ascends by record id;
+    # positional unfiling would rely on that order
+    index, d = build_table2_state()
+    lst = index.lists[d.intern("b")]  # abcdefgh, abcef, abc, abcd, bc, ...
+    lst[2], lst[3] = lst[3], lst[2]
+    with pytest.raises(AssertionError, match="files CI 14 after CI 15"):
+        check_store_invariants(index)
 
 
 def test_store_invariants_catch_an_altered_itemset():
-    store, index, d = build_table2_state()
-    rec = record_of(store, 16)  # bc
-    del store.records[rec.itemset]
+    index, d = build_table2_state()
+    rec = record_of(index, 16)  # bc
+    del index.records[rec.itemset]
     rec.itemset = (d.intern("b"), d.intern("d"))
-    store.records[rec.itemset] = rec  # filed under its new itemset: only the lists disagree
+    index.records[rec.itemset] = rec  # filed under its new itemset: only the lists disagree
     with pytest.raises(AssertionError, match="stored itemset"):
-        check_store_invariants(store, index)
+        check_store_invariants(index)
 
 
 def test_snapshot_reads_the_records_alone():
-    store, _, d = build_table2_state()
-    rows = snapshot(store, 5)
+    index, d = build_table2_state()
+    rows = snapshot(index, 5)
     assert [("".join(d.tokens[a] for a in items), s) for items, s in rows] == [
         ("bc", 5), ("c", 6), ("d", 5), ("f", 5), ("g", 5), ("h", 5)]

@@ -40,7 +40,7 @@ def test_finished_tries_need_no_cyclic_collection():
     try:
         for items in stream:
             driver.push_ids(items)
-        assert len(driver.engine.store.records) > 0
+        assert len(driver.engine.index.records) > 0
         assert gc.collect() == 0
     finally:
         gc.enable()

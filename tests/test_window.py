@@ -154,12 +154,12 @@ def test_evict_refuses_a_window_written_outside_the_driver():
     driver.push_ids((1, 2))
     eng = driver.engine
     eng.shift_add(100, (5,))
-    before = driver.next_tid, dict(eng.window), ids_family(eng), eng.store.next_id
+    before = driver.next_tid, dict(eng.window), ids_family(eng), eng.index.next_id
     for call in (driver.evict, lambda: driver.push_ids((3,))):
         with pytest.raises(ValueError, match="changed outside this driver"):
             call()
         assert (driver.next_tid, dict(eng.window), ids_family(eng),
-                eng.store.next_id) == before
+                eng.index.next_id) == before
         assert eng.failure is None
     # taking the stray transaction back out lets the driver go on
     eng.shift_remove(100)
