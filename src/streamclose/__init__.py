@@ -12,7 +12,7 @@ from .engine import MinerEngine, ShiftReport
 from .estimator import ClosedItemsetStreamMiner, NotFittedError
 from .formats import ParseError, StreamSource
 from .store import ItemDictionary
-from .window import StatsRecord, StreamDriver, WindowConfig, replay
+from .window import StatsRecord, StreamDriver, replay
 
 __version__ = "0.1.0"
 
@@ -26,7 +26,6 @@ __all__ = [
     "StatsRecord",
     "StreamDriver",
     "StreamSource",
-    "WindowConfig",
     "replay",
     "__version__",
 ]

@@ -15,7 +15,7 @@ import sys
 
 from . import oracle
 from .formats import ParseError, StatsWriter, StreamSource, save_snapshot, snapshot_lines
-from .window import LANDMARK, SLIDING, StreamDriver, WindowConfig, replay
+from .window import LANDMARK, SLIDING, StreamDriver, replay
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -85,7 +85,7 @@ def _cmd_mine(args) -> int:
         sys.stderr.write("streamclose mine: error: --snapshot-every needs --emit-snapshot\n")
         return EXIT_USAGE
     try:
-        config = WindowConfig(capacity=args.window, mode=args.mode)
+        driver = StreamDriver(capacity=args.window, mode=args.mode)
     except ValueError as e:
         sys.stderr.write(f"streamclose mine: error: {e}\n")
         return EXIT_USAGE
@@ -95,23 +95,23 @@ def _cmd_mine(args) -> int:
     # An output opened over the input would truncate it before the replay
     # reads it, and of two outputs on one file only the last written stays.
     paths = [(flag, path) for flag, path in (("--input", args.input), ("--stats", args.stats),
-                                             ("--emit-snapshot", args.emit_snapshot)) if path]
+                                             ("--emit-snapshot", args.emit_snapshot))
+             if path is not None]
     for (flag_a, a), (flag_b, b) in itertools.combinations(paths, 2):
         if _same_file(a, b):
             sys.stderr.write(f"streamclose mine: error: {flag_a} and {flag_b} "
                              "name the same file\n")
             return EXIT_USAGE
 
-    driver = StreamDriver(config)
     source = StreamSource(args.input, driver.dictionary)
     # Both output files are opened before the first transaction is read, so
     # a path that cannot be written stops the run before the replay.
     with contextlib.ExitStack() as outputs:
         stats = (outputs.enter_context(open(args.stats, "w", encoding="utf-8", newline=""))
-                 if args.stats else None)
+                 if args.stats is not None else None)
         out = (outputs.enter_context(open(args.emit_snapshot, "w", encoding="utf-8",
                                           newline=""))
-               if args.emit_snapshot else sys.stdout)
+               if args.emit_snapshot is not None else sys.stdout)
         writer = StatsWriter(stats) if stats else None
         for rec in replay(_read(source), driver):
             if writer:
@@ -164,11 +164,10 @@ def _cmd_verify(args) -> int:
         sys.stderr.write("streamclose verify: error: --max-cis must be at least 1\n")
         return EXIT_USAGE
     try:
-        config = WindowConfig(capacity=args.window, mode=SLIDING)
+        driver = StreamDriver(capacity=args.window, mode=SLIDING)
     except ValueError as e:
         sys.stderr.write(f"streamclose verify: error: {e}\n")
         return EXIT_USAGE
-    driver = StreamDriver(config)
     source = StreamSource(args.input, driver.dictionary)
     engine = driver.engine
     shift_no = 0

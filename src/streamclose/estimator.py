@@ -22,7 +22,7 @@ query's position, is built only then.
 from __future__ import annotations
 
 from .store import check_int, check_itemset, materialize_itemset
-from .window import LANDMARK, StreamDriver, WindowConfig
+from .window import LANDMARK, StreamDriver
 
 
 class NotFittedError(ValueError):
@@ -48,7 +48,7 @@ def _lookup(driver: StreamDriver, tokens):
         if a is None:
             return None
         ids.append(a)
-    return driver.engine.closure_record(ids) if ids else None
+    return driver.engine.closure_record(ids)
 
 
 class ClosedItemsetStreamMiner:
@@ -126,7 +126,7 @@ class ClosedItemsetStreamMiner:
         """Reset state and consume ``X``; a refused ``X`` changes nothing."""
         check_int(self.min_support, "min_support")
         batch = [check_itemset(x, i) for i, x in enumerate(_transactions(X))]
-        self.driver_ = StreamDriver(WindowConfig(capacity=self.window_size, mode=self.mode))
+        self.driver_ = StreamDriver(capacity=self.window_size, mode=self.mode)
         return self._consume(batch)
 
     def partial_fit(self, X, y=None) -> "ClosedItemsetStreamMiner":

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from typing import Hashable, Iterable, Mapping
 
-Itemset = frozenset
 Database = Mapping[Hashable, frozenset]
 
 DEFAULT_CI_CAP = 100_000

@@ -3,11 +3,12 @@
 The driver owns the dictionary and the mining state, and is the only code
 that sequences a push: ``evict`` removes the oldest transaction when a
 sliding window is full, then ``push_ids`` adds the new one, so the window
-never exceeds its capacity; landmark mode never evicts.  The engine's
-``window`` records what each transaction holds; the driver keeps only the
-policy: the tid counter and when to evict.  Maintenance always tracks the
-full family; the emission threshold is an argument of ``snapshot`` only.
-Raw tokens enter through ``push``; ``push_ids`` takes interned ids.
+never exceeds its capacity; capacity is ignored in landmark mode, which
+never evicts.  The engine's ``window`` records what each transaction holds;
+the driver keeps only the policy: the tid counter and when to evict.
+Maintenance always tracks the full family; the emission threshold is an
+argument of ``snapshot`` only.  Raw tokens enter through ``push``;
+``push_ids`` takes interned ids.
 """
 
 from __future__ import annotations
@@ -21,27 +22,6 @@ from .store import ItemDictionary, check_int, check_itemset, normalize
 
 SLIDING = "sliding"
 LANDMARK = "landmark"
-
-
-@dataclass(frozen=True)
-class WindowConfig:
-    """Window parameters.
-
-    ``capacity`` is the sliding-window size, an ``int`` (``check_int``) or
-    None, and is ignored in landmark mode.
-    """
-
-    capacity: int | None = None
-    mode: str = SLIDING
-
-    def __post_init__(self):
-        if self.capacity is not None:
-            check_int(self.capacity, "capacity")
-        if self.mode not in (SLIDING, LANDMARK):
-            raise ValueError(f"unknown window mode {self.mode!r}")
-        if self.mode == SLIDING:
-            if self.capacity is None or self.capacity < 1:
-                raise ValueError("sliding mode needs a capacity of at least 1")
 
 
 @dataclass
@@ -68,10 +48,22 @@ class StatsRecord:
 
 
 class StreamDriver:
-    """Feeds transactions through the engine under a window policy."""
+    """Feeds transactions through the engine under a window policy.
 
-    def __init__(self, config: WindowConfig):
-        self.config = config
+    ``capacity`` is the sliding-window size, an ``int`` (``check_int``) or
+    None, and is ignored in landmark mode.  Both are checked before anything
+    is built.
+    """
+
+    def __init__(self, *, capacity: int | None = None, mode: str = SLIDING):
+        if capacity is not None:
+            check_int(capacity, "capacity")
+        if mode not in (SLIDING, LANDMARK):
+            raise ValueError(f"unknown window mode {mode!r}")
+        if mode == SLIDING and (capacity is None or capacity < 1):
+            raise ValueError("sliding mode needs a capacity of at least 1")
+        self.capacity = capacity
+        self.mode = mode
         self.dictionary = ItemDictionary()
         self.engine = MinerEngine()
         self.next_tid = 0
@@ -95,9 +87,8 @@ class StreamDriver:
         computes is not in the window, the window was changed outside the
         driver, and ``evict`` raises ValueError and changes nothing.
         """
-        cfg = self.config
         window = self.engine.window
-        if cfg.mode != SLIDING or len(window) < cfg.capacity:
+        if self.mode != SLIDING or len(window) < self.capacity:
             return None
         oldest = self.next_tid - len(window)
         if oldest not in window:

@@ -14,7 +14,7 @@ from collections import defaultdict
 
 import pytest
 
-from streamclose import MinerEngine, ShiftReport, StreamDriver, WindowConfig
+from streamclose import MinerEngine, ShiftReport, StreamDriver
 from streamclose.store import CIRecord, InvertedIndex, normalize
 from streamclose.trie import SUPPORT_FLOOR, Trie, TrieNode
 
@@ -54,7 +54,7 @@ TABLE3 = {
 
 def landmark_driver(transactions) -> StreamDriver:
     """Replay token transactions additively; tid k holds transactions[k]."""
-    driver = StreamDriver(WindowConfig(mode="landmark"))
+    driver = StreamDriver(mode="landmark")
     for t in transactions:
         driver.push(t)
     return driver

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import pytest
 
-from streamclose import MinerEngine, StreamDriver, WindowConfig, oracle
+from streamclose import MinerEngine, StreamDriver, oracle
 from streamclose.store import materialize_itemset
 from streamclose.trie import SUPPORT_FLOOR
 from conftest import (
@@ -412,7 +412,7 @@ def test_criterion_9_desk_scale_performance():
     stream = synth_stream()
     avg_len = sum(map(len, stream)) / len(stream)
     assert 20 <= avg_len <= 30
-    driver = StreamDriver(WindowConfig(capacity=500, mode="sliding"))
+    driver = StreamDriver(capacity=500, mode="sliding")
     peak_footprint = 0
     t0 = time.perf_counter()
     for items in stream:

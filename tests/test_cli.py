@@ -15,7 +15,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamclose import StreamDriver, StreamSource, WindowConfig, cli, oracle
+from streamclose import StreamDriver, StreamSource, cli, oracle
 from streamclose.formats import snapshot_lines
 from conftest import TABLE1, TABLE2
 
@@ -90,7 +90,7 @@ def test_mine_periodic_snapshots_match_the_driver(tmp_path):
     assert cli.main(["mine", "--input", str(data), "--window", "12",
                      "--min-supp", "3", "--emit-snapshot", str(out),
                      "--snapshot-every", "7"]) == 0
-    driver = StreamDriver(WindowConfig(capacity=12, mode="sliding"))
+    driver = StreamDriver(capacity=12, mode="sliding")
     source = StreamSource(str(data), driver.dictionary)
     for k, items in enumerate(source, start=1):
         driver.push_ids(items)
@@ -240,6 +240,25 @@ def test_mine_outputs_must_not_name_the_input_or_each_other(d10, tmp_path, capsy
         "", f"streamclose mine: error: {flags} name the same file\n")
     assert d10.read_bytes() == data
     assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    (["--emit-snapshot", ""], 2,
+     "streamclose: output error: [Errno 2] No such file or directory: ''\n"),
+    (["--stats", ""], 2,
+     "streamclose: output error: [Errno 2] No such file or directory: ''\n"),
+    (["--stats", "", "--emit-snapshot", ""], 1,
+     "streamclose mine: error: --stats and --emit-snapshot name the same file\n"),
+    (["--snapshot-every", "2", "--emit-snapshot", ""], 1,
+     "streamclose mine: error: --snapshot-every needs --emit-snapshot\n"),
+], ids=["emit-snapshot", "stats", "both", "snapshot-every"])
+def test_mine_an_empty_output_path_is_not_dropped(tmp_path, capsys, argv, code, err):
+    # an empty path (an unset shell variable, say) names no file: it must
+    # not fall back to stdout or to no stats at all
+    p = tmp_path / "in.dat"
+    p.write_text("a b\nb c\n\na c\n")
+    assert cli.main(["mine", "--input", str(p), "--window", "2", *argv]) == code
+    assert capsys.readouterr() == ("", err)
 
 
 @pytest.mark.parametrize("flag", ["--input", "--stats"])

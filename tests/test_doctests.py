@@ -1,4 +1,4 @@
-"""The library's documentation: docstring examples run, README names the API."""
+"""The library's documentation: docstring and README examples run, README names the API."""
 
 import doctest
 import re
@@ -15,6 +15,19 @@ def test_estimator_docstring_examples_pass():
     result = doctest.testmod(estimator)
     assert result.attempted > 0
     assert result.failed == 0
+
+
+def test_readme_python_examples_run():
+    # each block runs on its own, after a prelude that supplies the data
+    # the prose leaves to the reader
+    prelude = {
+        "transactions": [["milk", "bread"], ["milk", "eggs"], ["bread", "milk", "eggs"]],
+        "more_transactions": [["milk"], ["bread", "eggs"]],
+    }
+    blocks = re.findall(r"^```python\n(.*?)^```$", README.read_text(), re.M | re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), dict(prelude))
 
 
 def test_every_public_name_is_in_the_readme():

@@ -6,7 +6,7 @@ from collections import defaultdict
 
 import pytest
 
-from streamclose import MinerEngine, StreamDriver, WindowConfig, oracle
+from streamclose import MinerEngine, StreamDriver, oracle
 from streamclose.store import CIRecord, materialize_itemset
 from streamclose.trie import SUPPORT_FLOOR
 from conftest import (
@@ -560,7 +560,7 @@ def test_step_ops_equal_fast_loops():
 def test_sliding_routing_work_is_pinned():
     # exact totals of a seeded sliding replay; a change to how routing or
     # categorization works must move none of them
-    driver = StreamDriver(WindowConfig(capacity=30, mode="sliding"))
+    driver = StreamDriver(capacity=30, mode="sliding")
     totals = dict.fromkeys(
         ("entries", "nodes", "new", "promoted", "obsolete", "demoted"), 0)
     for items in random_stream(random.Random(2024), 14, 400, max_len=9):
@@ -584,7 +584,7 @@ def test_sliding_routing_work_is_pinned():
 def test_stored_itemsets_match_the_referee_after_evictions():
     # every live record's own itemset must be a closure of the window with
     # the record's support, through a stream that makes CIs obsolete
-    driver = StreamDriver(WindowConfig(capacity=20, mode="sliding"))
+    driver = StreamDriver(capacity=20, mode="sliding")
     obsolete = 0
     for items in random_stream(random.Random(4242), 12, 250, max_len=7):
         for rep in driver.push_ids(items):
@@ -638,7 +638,7 @@ def test_closure_picks_max_support_superset_in_any_order(stream, query):
 
 
 def test_closure_of_fully_evicted_item_is_none():
-    driver = StreamDriver(WindowConfig(capacity=2, mode="sliding"))
+    driver = StreamDriver(capacity=2, mode="sliding")
     for t in [("a", "b"), ("c",), ("c",)]:
         driver.push(t)
     eng = driver.engine
@@ -667,7 +667,7 @@ def test_closure_probe_and_scan_agree_with_the_referee():
     # every 1-3 item subset of every window transaction, at several points
     # of a sliding stream with evictions: the closure and its support must
     # be the referee's whether the key probe or the list scan answers
-    driver = StreamDriver(WindowConfig(capacity=25, mode="sliding"))
+    driver = StreamDriver(capacity=25, mode="sliding")
     eng = driver.engine
     probed = scanned = obsolete = 0
     for n, items in enumerate(random_stream(random.Random(9090), 10, 200, max_len=6), 1):
@@ -696,7 +696,7 @@ def test_closure_probe_and_scan_agree_with_the_referee():
 
 
 def test_closure_of_a_live_ci_is_its_own_record():
-    driver = StreamDriver(WindowConfig(capacity=15, mode="sliding"))
+    driver = StreamDriver(capacity=15, mode="sliding")
     for items in random_stream(random.Random(77), 9, 120, max_len=6):
         driver.push_ids(items)
     eng = driver.engine
@@ -725,10 +725,10 @@ def test_non_closed_queries_agree_with_the_referee(mode):
     # shortest-list scan must be right whether its pivot list is about as
     # long as the others or far shorter
     if mode == "sliding":
-        driver = StreamDriver(WindowConfig(capacity=50, mode="sliding"))
+        driver = StreamDriver(capacity=50, mode="sliding")
         stream, checkpoints = skewed_stream(random.Random(2024), 16, 200), {80, 120, 160, 200}
     else:
-        driver = StreamDriver(WindowConfig(mode="landmark"))
+        driver = StreamDriver(mode="landmark")
         stream, checkpoints = skewed_stream(random.Random(2025), 16, 80), {40, 80}
     eng = driver.engine
     ratios = []

@@ -94,6 +94,13 @@ def test_fit_rejects_a_window_size_that_is_not_an_int(window_size):
     assert not hasattr(miner, "driver_")
 
 
+def test_fit_rejects_an_unknown_mode():
+    miner = ClosedItemsetStreamMiner(window_size=3, mode="bogus")
+    with pytest.raises(ValueError, match="^unknown window mode 'bogus'$"):
+        miner.fit(TABLE1)
+    assert not hasattr(miner, "driver_")
+
+
 def test_update_returns_reports():
     miner = ClosedItemsetStreamMiner(window_size=1, mode="sliding")
     miner.fit([["a"]])

@@ -5,7 +5,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamclose import MinerEngine, StreamDriver, WindowConfig, oracle
+from streamclose import MinerEngine, StreamDriver, oracle
 from streamclose.store import materialize_itemset
 from streamclose.trie import SUPPORT_FLOOR
 import categories
@@ -27,7 +27,7 @@ transactions = st.lists(
 
 def drive(stream, capacity):
     """Replay and return the driver, checking nothing."""
-    driver = StreamDriver(WindowConfig(capacity=capacity, mode="sliding"))
+    driver = StreamDriver(capacity=capacity, mode="sliding")
     for t in stream:
         driver.push_ids(tuple(sorted(t)))
     return driver
@@ -36,7 +36,7 @@ def drive(stream, capacity):
 @given(transactions, st.integers(1, 8))
 @settings(max_examples=60, deadline=None)
 def test_family_matches_referee_after_every_push(stream, capacity):
-    driver = StreamDriver(WindowConfig(capacity=capacity, mode="sliding"))
+    driver = StreamDriver(capacity=capacity, mode="sliding")
     window = driver.engine.window
     for t in stream:
         driver.push_ids(tuple(sorted(t)))
@@ -54,7 +54,7 @@ def test_window_holds_the_last_pushes(stream, capacity):
     # the engine's window is the only record of the window's contents: after
     # every push it holds the newest pushes, consecutive tids, at most
     # capacity of them, each with the itemset pushed under its tid
-    driver = StreamDriver(WindowConfig(capacity=capacity, mode="sliding"))
+    driver = StreamDriver(capacity=capacity, mode="sliding")
     window = driver.engine.window
     for t in stream:
         driver.push_ids(t)
@@ -249,8 +249,8 @@ def test_landmark_equals_sliding_with_huge_window():
     rng = random.Random(7)
     stream = [tuple(sorted(rng.sample(range(8), rng.randint(1, 5))))
               for _ in range(40)]
-    landmark = StreamDriver(WindowConfig(mode="landmark"))
-    sliding = StreamDriver(WindowConfig(capacity=1000, mode="sliding"))
+    landmark = StreamDriver(mode="landmark")
+    sliding = StreamDriver(capacity=1000, mode="sliding")
     for t in stream:
         landmark.push_ids(t)
         sliding.push_ids(t)

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from streamclose import StreamDriver, WindowConfig
+from streamclose import StreamDriver
 from streamclose.trie import SUPPORT_FLOOR, Trie
 import categories
 from conftest import TABLE1, add_child, child, dump, end_nodes, landmark_driver, random_stream
@@ -33,7 +33,7 @@ def test_reset_drops_every_node():
 
 def test_finished_tries_need_no_cyclic_collection():
     # every shift's trie must be freed by reference counting alone
-    driver = StreamDriver(WindowConfig(capacity=50, mode="sliding"))
+    driver = StreamDriver(capacity=50, mode="sliding")
     stream = random_stream(random.Random(7), 20, 300, 8)
     gc.collect()
     gc.disable()
@@ -49,7 +49,7 @@ def test_finished_tries_need_no_cyclic_collection():
 def test_child_slot_holds_the_newest_child():
     # routing visits t's items in one order, so a node's one child slot
     # holds its last-created child, and that child's item
-    driver = StreamDriver(WindowConfig(capacity=30, mode="sliding"))
+    driver = StreamDriver(capacity=30, mode="sliding")
     branching = 0
     for items in random_stream(random.Random(2025), 14, 400, max_len=9):
         driver.push_ids(items)

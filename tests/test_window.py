@@ -6,19 +6,28 @@ import tracemalloc
 
 import pytest
 
-from streamclose import StreamDriver, WindowConfig, oracle, replay
+from streamclose import StreamDriver, oracle, replay, window
 import categories
 from conftest import TABLE1, TABLE2, ids_family, random_stream, window_db
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        WindowConfig(mode="bogus")
-    with pytest.raises(ValueError):
-        WindowConfig(mode="sliding")           # no capacity
-    with pytest.raises(ValueError):
-        WindowConfig(capacity=0, mode="sliding")
-    WindowConfig(mode="landmark")              # capacity optional here
+    with pytest.raises(ValueError, match="^unknown window mode 'bogus'$"):
+        StreamDriver(mode="bogus")
+    sliding = "^sliding mode needs a capacity of at least 1$"
+    with pytest.raises(ValueError, match=sliding):
+        StreamDriver(mode="sliding")           # no capacity
+    with pytest.raises(ValueError, match=sliding):
+        StreamDriver(capacity=0, mode="sliding")
+    StreamDriver(mode="landmark")              # capacity optional here
+
+
+def test_the_driver_takes_its_window_as_keywords():
+    driver = StreamDriver(capacity=3)
+    assert (driver.capacity, driver.mode) == (3, "sliding")
+    assert not hasattr(driver, "config")
+    with pytest.raises(TypeError):
+        StreamDriver(3)
 
 
 @pytest.mark.parametrize("mode", ["sliding", "landmark"])
@@ -27,11 +36,23 @@ def test_config_rejects_a_capacity_that_is_not_an_int(capacity, mode):
     # 2.5 used to keep 3 transactions, True kept 1, and "3" failed inside a
     # comparison
     with pytest.raises(TypeError, match="capacity must be an int"):
-        WindowConfig(capacity=capacity, mode=mode)
+        StreamDriver(capacity=capacity, mode=mode)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"capacity": 2.5}, {"mode": "bogus"}, {"mode": "sliding"}, {"capacity": 0},
+])
+def test_a_refused_window_builds_nothing(monkeypatch, kwargs):
+    built = []
+    monkeypatch.setattr(window, "ItemDictionary", lambda: built.append("dictionary"))
+    monkeypatch.setattr(window, "MinerEngine", lambda: built.append("engine"))
+    with pytest.raises((TypeError, ValueError)):
+        StreamDriver(**kwargs)
+    assert built == []
 
 
 def test_push_at_capacity_removes_then_adds():
-    driver = StreamDriver(WindowConfig(capacity=9, mode="sliding"))
+    driver = StreamDriver(capacity=9, mode="sliding")
     for t in TABLE1[:9]:
         removed, _ = driver.push(t)
         assert removed is None
@@ -44,7 +65,7 @@ def test_push_at_capacity_removes_then_adds():
 
 
 def test_window_of_one():
-    driver = StreamDriver(WindowConfig(capacity=1, mode="sliding"))
+    driver = StreamDriver(capacity=1, mode="sliding")
     driver.push(("s", "t"))
     removed, added = driver.push(("u",))
     assert removed is not None
@@ -52,7 +73,7 @@ def test_window_of_one():
 
 
 def test_landmark_never_removes():
-    driver = StreamDriver(WindowConfig(mode="landmark"))
+    driver = StreamDriver(mode="landmark")
     for t in TABLE1 + TABLE1:
         removed, _ = driver.push(tuple(set(t)))
         assert removed is None
@@ -61,7 +82,7 @@ def test_landmark_never_removes():
 
 
 def test_replay_full_window_matches_golden(tmp_path):
-    driver = StreamDriver(WindowConfig(capacity=10, mode="sliding"))
+    driver = StreamDriver(capacity=10, mode="sliding")
     records = list(replay([tuple(sorted({driver.dictionary.intern(t) for t in row}))
                            for row in TABLE1], driver))
     assert len(records) == 10
@@ -71,7 +92,7 @@ def test_replay_full_window_matches_golden(tmp_path):
 
 
 def test_replay_window_nine_matches_oracle():
-    driver = StreamDriver(WindowConfig(capacity=9, mode="sliding"))
+    driver = StreamDriver(capacity=9, mode="sliding")
     source = [tuple(sorted({driver.dictionary.intern(t) for t in row}))
               for row in TABLE1]
     records = list(replay(source, driver))
@@ -82,7 +103,7 @@ def test_replay_window_nine_matches_oracle():
 
 
 def test_replay_empty_input():
-    driver = StreamDriver(WindowConfig(capacity=4, mode="sliding"))
+    driver = StreamDriver(capacity=4, mode="sliding")
     assert list(replay([], driver)) == []
 
 
@@ -91,7 +112,7 @@ def test_replay_series_deterministic():
     stream = random_stream(rng, 9, 120, max_len=6)
 
     def run():
-        driver = StreamDriver(WindowConfig(capacity=7, mode="sliding"))
+        driver = StreamDriver(capacity=7, mode="sliding")
         return [(r.shift, r.tid, r.op, r.new, r.promoted, r.obsolete,
                  r.demoted, r.live_cis, r.trie_nodes, r.entries_scanned)
                 for r in replay(stream, driver)]
@@ -100,7 +121,7 @@ def test_replay_series_deterministic():
 
 
 def test_empty_baskets_occupy_slots():
-    driver = StreamDriver(WindowConfig(capacity=2, mode="sliding"))
+    driver = StreamDriver(capacity=2, mode="sliding")
     driver.push(("a", "b"))
     driver.push(())           # empty basket
     driver.push(("c",))       # evicts ("a","b")
@@ -109,7 +130,7 @@ def test_empty_baskets_occupy_slots():
 
 
 def test_rejected_push_leaves_driver_unchanged():
-    driver = StreamDriver(WindowConfig(capacity=2, mode="sliding"))
+    driver = StreamDriver(capacity=2, mode="sliding")
     driver.push_ids((0, 1))
     driver.push_ids((1, 2))
     eng = driver.engine
@@ -149,7 +170,7 @@ def test_evict_refuses_a_window_written_outside_the_driver():
     # an addition made straight on the engine breaks the driver's count of
     # its oldest tid (next_tid - len(window) is -1 here); evict must say
     # so, not name that tid as missing, and change nothing
-    driver = StreamDriver(WindowConfig(capacity=2, mode="sliding"))
+    driver = StreamDriver(capacity=2, mode="sliding")
     driver.push_ids((0, 1))
     driver.push_ids((1, 2))
     eng = driver.engine
@@ -169,7 +190,7 @@ def test_evict_refuses_a_window_written_outside_the_driver():
 
 
 def test_push_stats_wiring():
-    driver = StreamDriver(WindowConfig(capacity=3, mode="sliding"))
+    driver = StreamDriver(capacity=3, mode="sliding")
     stream = [(0, 1, 2), (1, 2), (0, 2, 3), (2, 3)]
     records = list(replay(stream, driver))
     last = records[-1]
@@ -179,7 +200,7 @@ def test_push_stats_wiring():
 
 
 def test_evict_keeps_the_entry_the_engine_refuses():
-    driver = StreamDriver(WindowConfig(capacity=2, mode="sliding"))
+    driver = StreamDriver(capacity=2, mode="sliding")
     driver.push_ids((0, 1))
     driver.push_ids((1, 2))
     eng = driver.engine
@@ -207,7 +228,7 @@ def test_snapshot_translates_known_ids_and_passes_the_rest_through():
     # a row whose ids all have tokens is translated whole; a row holding an
     # id from push_ids that was never interned, below 0 or past the
     # dictionary, keeps that id as it is and translates the others
-    driver = StreamDriver(WindowConfig(mode="landmark"))
+    driver = StreamDriver(mode="landmark")
     driver.push(["a", "b", "c"])
     driver.push_ids((1, 7))
     driver.push_ids((-3, 0, 2))
@@ -222,7 +243,7 @@ def test_an_emission_peaks_at_its_output():
     # the returned rows hold (the list, each row and each token tuple)
     rng = random.Random(11)
     patterns = [rng.sample(range(60), 6) for _ in range(25)]
-    driver = StreamDriver(WindowConfig(mode="landmark"))
+    driver = StreamDriver(mode="landmark")
     for _ in range(120):
         basket = {a for p in rng.sample(patterns, 2) for a in p}
         driver.push([f"tok{a}" for a in basket | set(rng.sample(range(60), 3))])
@@ -245,7 +266,7 @@ def test_sliding_lists_are_bounded_by_the_window():
     # fills its list and leaves. The lists' bytes must follow the window's
     # entries, not the peak each list once reached, and a list must go
     # with the last window transaction holding its item.
-    driver = StreamDriver(WindowConfig(capacity=40, mode="sliding"))
+    driver = StreamDriver(capacity=40, mode="sliding")
     engine = driver.engine
     index = engine.index
     rng = random.Random(5)
@@ -267,7 +288,7 @@ def test_rejected_push_interns_no_token(bad):
     # "x" comes before the bad token, so checking while interning used to
     # leave "x" in the dictionary after the push was refused; a bare string
     # used to be split into characters and mined, bytes into ints
-    driver = StreamDriver(WindowConfig(capacity=2, mode="sliding"))
+    driver = StreamDriver(capacity=2, mode="sliding")
     driver.push(["a", "b"])
     driver.push(["b", "c"])
 
@@ -291,7 +312,7 @@ def test_replay_rows_match_the_referee_classes():
     capacity = 12
     stream = random_stream(random.Random(77), 10, 160, max_len=6)
     stream[40:160:23] = [()] * len(stream[40:160:23])  # some empty baskets
-    driver = StreamDriver(WindowConfig(capacity=capacity, mode="sliding"))
+    driver = StreamDriver(capacity=capacity, mode="sliding")
     db = {}
     totals = dict.fromkeys(("new", "promoted", "obsolete", "demoted", "shift"), 0)
     for items, row in zip(stream, replay(stream, driver)):
